@@ -13,7 +13,7 @@ from .constructions import (LabeledAction, a7_on_15, action_on_k_subsets,
 from .genfile import (GeneratorFile, ParseError, file_from_group,
                       format_generators, group_from_file, parse_generators)
 from .group import PermGroup, StabilizerChain, build_chain
-from .perm import Permutation, compose
+from .perm import Permutation
 from .verifier import (LemmaViolation, Step4Record, SweepConfig, SweepResult,
                        lemma_monitor, step1_quadratic, step4_check, sweep)
 
@@ -23,7 +23,7 @@ __all__ = [
     "PairClass", "ParseError", "PermGroup", "Permutation", "QUASI_TRANSITIVE",
     "QuasiVerdict", "StabilizerChain", "Step4Record", "SweepConfig",
     "SweepResult", "a7_on_15", "action_on_k_subsets", "affine_frobenius",
-    "alternating_group", "analyze", "build_chain", "compose", "coset_action",
+    "alternating_group", "analyze", "build_chain", "coset_action",
     "cyclic_group", "dihedral_group", "disjoint_sum", "file_from_group",
     "format_generators", "group_from_file", "is_frobenius", "is_primitive",
     "is_three_halves", "is_two_transitive", "lemma_monitor", "orbits",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .group import PermGroup
+from .group import PermGroup, orbit_partition
 from .perm import Permutation
 
 QUASI_TRANSITIVE = "quasi_transitive"
@@ -69,43 +69,52 @@ class ActionReport:
 
 
 def orbits(G: PermGroup) -> OrbitDecomposition:
-    remaining = set(range(G.degree))
-    found = []
-    while remaining:
-        start = min(remaining)
-        orb = G.orbit(start)
-        remaining.difference_update(orb)
-        found.append(tuple(orb))
-    found.sort(key=lambda o: (len(o), o[0]))
+    found = sorted((tuple(sorted(o))
+                    for o in orbit_partition(G.generators, range(G.degree))),
+                   key=lambda o: (len(o), o[0]))
     return OrbitDecomposition(tuple(found), tuple(o[0] for o in found))
 
 
-def _partition(gens: Sequence[Permutation], degree: int) -> list[list[int]]:
-    """Orbit partition of 0..degree-1 under the given permutations."""
-    seen = [False] * degree
-    parts = []
-    for start in range(degree):
-        if seen[start]:
-            continue
-        orb = [start]
-        seen[start] = True
-        for a in orb:
-            for g in gens:
-                b = g(a)
-                if not seen[b]:
-                    seen[b] = True
-                    orb.append(b)
-        parts.append(sorted(orb))
-    return parts
+def _suborbits(G: PermGroup, alpha: int,
+               points: Iterable[int]) -> tuple[PermGroup, int, list[list[int]]]:
+    """G_alpha, its order and its orbits on a G-invariant point set."""
+    stab = G.point_stabilizer(alpha)
+    order = G.chain((alpha,)).stabilizer_order_from(1)
+    return stab, order, orbit_partition(stab.generators, points)
 
 
-def _suborbit_sizes(stab: PermGroup) -> list[int]:
-    """Map point -> size of its orbit under the subgroup."""
-    sizes = [0] * stab.degree
-    for part in _partition(stab.generators, stab.degree):
-        for p in part:
-            sizes[p] = len(part)
-    return sizes
+@dataclass(frozen=True)
+class _OrbitRecord:
+    """What the suborbit classifiers read: |G_alpha| and its suborbits.
+
+    ``subdegrees`` are the G_alpha-orbit lengths on the orbit, ascending and
+    including alpha's own 1; ``betas`` holds one point of every G_alpha-orbit
+    other than {alpha}.
+    """
+
+    alpha: int
+    stab_order: int
+    subdegrees: tuple[int, ...]
+    betas: tuple[int, ...]
+
+    def two_transitive(self) -> bool:
+        return len(self.subdegrees) == 2
+
+    def three_halves(self) -> bool:
+        rest = self.subdegrees[1:]
+        return self.two_transitive() or (len(set(rest)) == 1 and rest[0] > 1)
+
+    def frobenius(self) -> bool:
+        return self.stab_order > 1 and all(
+            d == self.stab_order for d in self.subdegrees[1:])
+
+
+def _orbit_record(G: PermGroup, alpha: int,
+                  points: Sequence[int]) -> _OrbitRecord:
+    _, order, parts = _suborbits(G, alpha, points)
+    return _OrbitRecord(
+        alpha, order, tuple(sorted(len(part) for part in parts)),
+        tuple(part[0] for part in parts if part[0] != alpha))
 
 
 def subdegrees(G: PermGroup, alpha: int) -> tuple[int, ...]:
@@ -113,11 +122,7 @@ def subdegrees(G: PermGroup, alpha: int) -> tuple[int, ...]:
 
     Includes the fixed point's 1; sorted ascending.
     """
-    orbit = set(G.orbit(alpha))
-    stab = G.point_stabilizer(alpha)
-    lengths = [len(part) for part in _partition(stab.generators, G.degree)
-               if part[0] in orbit]
-    return tuple(sorted(lengths))
+    return _orbit_record(G, alpha, G.orbit(alpha)).subdegrees
 
 
 def _check_invariant(G: PermGroup, orbit: Iterable[int]) -> list[int]:
@@ -149,22 +154,16 @@ def is_faithful_on(G: PermGroup, orbit: Iterable[int]) -> bool:
     return _restricted_group(G, pts).order() == G.order()
 
 
-def _orbit_stats(G: PermGroup, orbit: Sequence[int]) -> tuple[int, int, list[int]]:
-    """(alpha, |G_alpha|, suborbit lengths on orbit minus alpha)."""
-    alpha = min(orbit)
-    stab = G.point_stabilizer(alpha)
-    oset = set(orbit)
-    rest = [len(part) for part in _partition(stab.generators, G.degree)
-            if part[0] in oset and part != [alpha]]
-    return alpha, stab.order(), sorted(rest)
-
-
-def is_two_transitive(G: PermGroup, orbit: Iterable[int]) -> bool:
+def _classified(G: PermGroup, orbit: Iterable[int]) -> tuple[list[int], _OrbitRecord]:
+    """An invariant set of at least 2 points and the record of its least point."""
     pts = _check_invariant(G, orbit)
     if len(pts) < 2:
         raise ValueError("orbit must have at least 2 points")
-    _, _, rest = _orbit_stats(G, pts)
-    return rest == [len(pts) - 1]
+    return pts, _orbit_record(G, pts[0], pts)
+
+
+def is_two_transitive(G: PermGroup, orbit: Iterable[int]) -> bool:
+    return _classified(G, orbit)[1].two_transitive()
 
 
 def is_three_halves(G: PermGroup, orbit: Iterable[int]) -> bool:
@@ -173,22 +172,12 @@ def is_three_halves(G: PermGroup, orbit: Iterable[int]) -> bool:
     Two-transitive actions count; regular ones (d = 1) do not, matching the
     hypotheses of the classical primitive-or-Frobenius dichotomy.
     """
-    pts = _check_invariant(G, orbit)
-    if len(pts) < 2:
-        raise ValueError("orbit must have at least 2 points")
-    _, _, rest = _orbit_stats(G, pts)
-    if rest == [len(pts) - 1]:
-        return True
-    return len(set(rest)) == 1 and rest[0] > 1
+    return _classified(G, orbit)[1].three_halves()
 
 
 def is_frobenius(G: PermGroup, orbit: Iterable[int]) -> bool:
     """Transitive, nonregular, with trivial two-point stabilizers on the orbit."""
-    pts = _check_invariant(G, orbit)
-    if len(pts) < 2:
-        raise ValueError("orbit must have at least 2 points")
-    _, stab_order, rest = _orbit_stats(G, pts)
-    return stab_order > 1 and all(size == stab_order for size in rest)
+    return _classified(G, orbit)[1].frobenius()
 
 
 def _minimal_block_size(gens, points, alpha, beta):
@@ -223,19 +212,24 @@ def _minimal_block_size(gens, points, alpha, beta):
     return sum(1 for p in points if find(p) == root)
 
 
+def _primitive(G: PermGroup, pts: Sequence[int], record: _OrbitRecord) -> bool:
+    """Minimal blocks through alpha and one beta per G_alpha-suborbit.
+
+    For h in G_alpha the minimal block through {alpha, beta^h} is the image
+    under h of the one through {alpha, beta}, so one beta per suborbit
+    decides every block through alpha.
+    """
+    return all(
+        _minimal_block_size(G.generators, pts, record.alpha, beta) == len(pts)
+        for beta in record.betas)
+
+
 def is_primitive(G: PermGroup, orbit: Iterable[int]) -> bool:
     """No nontrivial proper block system, by the minimal-block algorithm."""
-    pts = _check_invariant(G, orbit)
-    m = len(pts)
-    if m < 2:
-        raise ValueError("orbit must have at least 2 points")
-    if set(G.orbit(pts[0])) != set(pts):
+    pts, record = _classified(G, orbit)
+    if G.orbit(pts[0]) != pts:
         raise ValueError("group is not transitive on the given set")
-    alpha = pts[0]
-    for beta in pts[1:]:
-        if _minimal_block_size(G.generators, pts, alpha, beta) < m:
-            return False
-    return True
+    return _primitive(G, pts, record)
 
 
 def _is_abelian(gens: Sequence[Permutation]) -> bool:
@@ -262,9 +256,8 @@ def pair_class_profile(G: PermGroup) -> tuple[PairClass, ...]:
     seen: set[tuple[int, int]] = set()
     classes: list[PairClass] = []
     for i, rep in enumerate(decomp.representatives):
-        stab = G.point_stabilizer(rep)
-        stab_order = stab.order()
-        sub_sizes = _suborbit_sizes(stab)
+        stab, stab_order, parts = _suborbits(G, rep, range(n))
+        sub_sizes = {p: len(part) for part in parts for p in part}
         for beta in range(n):
             if beta == rep or orbit_of[beta] < i:
                 continue
@@ -295,9 +288,7 @@ def pair_class_profile(G: PermGroup) -> tuple[PairClass, ...]:
     return tuple(classes)
 
 
-def quasi_verdict(G: PermGroup) -> QuasiVerdict:
-    """Constant two-point stabilizer order t > 1, t = 1, or witnesses."""
-    classes = pair_class_profile(G)
+def _verdict(classes: Sequence[PairClass]) -> QuasiVerdict:
     orders = sorted({c.stabilizer_order for c in classes})
     if len(orders) == 1:
         t = orders[0]
@@ -309,33 +300,33 @@ def quasi_verdict(G: PermGroup) -> QuasiVerdict:
     return QuasiVerdict(NON_CONSTANT, witnesses=(first, other))
 
 
+def quasi_verdict(G: PermGroup) -> QuasiVerdict:
+    """Constant two-point stabilizer order t > 1, t = 1, or witnesses."""
+    return _verdict(pair_class_profile(G))
+
+
 def analyze(G: PermGroup) -> ActionReport:
     """Everything measured about an action, in one deterministic report."""
     if G.degree < 2:
         raise ValueError("degree must be at least 2")
     decomp = orbits(G)
-    order = G.order()
     reports = []
     for orbit, rep in zip(decomp.orbits, decomp.representatives):
-        m = len(orbit)
         faithful = is_faithful_on(G, orbit)
-        if m == 1:
+        if len(orbit) == 1:
             reports.append(OrbitReport(
                 points=orbit, representative=rep, size=1, subdegrees=(1,),
                 faithful=faithful, transitive=True, two_transitive=False,
                 three_halves=False, frobenius=False, primitive=False))
             continue
-        _, stab_order, rest = _orbit_stats(G, orbit)
-        two_t = rest == [m - 1]
-        three_halves = two_t or (len(set(rest)) == 1 and rest[0] > 1)
-        frob = stab_order > 1 and all(size == stab_order for size in rest)
-        prim = is_primitive(G, orbit)
+        record = _orbit_record(G, rep, orbit)
         reports.append(OrbitReport(
-            points=orbit, representative=rep, size=m,
-            subdegrees=tuple(sorted([1] + rest)), faithful=faithful,
-            transitive=True, two_transitive=two_t, three_halves=three_halves,
-            frobenius=frob, primitive=prim))
+            points=orbit, representative=rep, size=len(orbit),
+            subdegrees=record.subdegrees, faithful=faithful, transitive=True,
+            two_transitive=record.two_transitive(),
+            three_halves=record.three_halves(), frobenius=record.frobenius(),
+            primitive=_primitive(G, orbit, record)))
     classes = pair_class_profile(G)
     return ActionReport(
-        degree=G.degree, order=order, orbit_reports=tuple(reports),
-        pair_classes=classes, verdict=quasi_verdict(G))
+        degree=G.degree, order=G.order(), orbit_reports=tuple(reports),
+        pair_classes=classes, verdict=_verdict(classes))

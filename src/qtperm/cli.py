@@ -114,7 +114,13 @@ def _construct_action(args) -> GeneratorFile:
     elif name == "sum":
         if len(args.files) < 2:
             raise SystemExit("construct sum needs at least two input files")
-        act = cons.disjoint_sum([_action_from_path(p) for p in args.files])
+        summands = [_action_from_path(p) for p in args.files]
+        act = cons.disjoint_sum(summands)
+        # the sum maps onto every summand, so it is diagonal exactly when
+        # its order equals each summand's order
+        if {a.group.order() for a in summands} != {act.group.order()}:
+            raise SystemExit("construct sum needs generator files of one group "
+                             "with matching generators (the sum is not diagonal)")
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown construction {name!r}")
     return file_from_group(act.group, label=act.label)
@@ -154,11 +160,14 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        if exc.code in (0, None):
+            return EXIT_OK
+        if isinstance(exc.code, str):  # a bad QTPERM_MAX_* value
+            print(f"qtperm: {exc.code}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.command == "analyze":
             return _cmd_analyze(args)

@@ -171,11 +171,6 @@ def disjoint_sum(actions: Sequence[LabeledAction]) -> LabeledAction:
     return LabeledAction(PermGroup(gens, degree), label, points)
 
 
-def gf2f(f: int) -> GF2Field:
-    """The shipped GF(2^f) field structure (f in {3, 5})."""
-    return GF2Field(f)
-
-
 def _projective_points(field: GF2Field) -> list[object]:
     return list(field.elements()) + [INFINITY]
 
@@ -192,7 +187,7 @@ def _moebius_perm(field: GF2Field, fn) -> Permutation:
 
 def psl2(f: int) -> LabeledAction:
     """PSL2(q), q = 2^f, on the projective line (q+1 points)."""
-    field = gf2f(f)
+    field = GF2Field(f)
     q = field.q
     lam = field.primitive_element()
 
@@ -217,7 +212,7 @@ def psl2(f: int) -> LabeledAction:
 def pgammal2(f: int) -> LabeledAction:
     """PGammaL2(q) = PSL2(q) extended by the Frobenius map x -> x^2."""
     base = psl2(f)
-    field = gf2f(f)
+    field = GF2Field(f)
 
     def frob(x):
         return INFINITY if x == INFINITY else field.mul(x, x)

@@ -31,24 +31,21 @@ class StabilizerChain:
     def transversal_sizes(self) -> tuple[int, ...]:
         return tuple(len(t) for t in self.transversals)
 
-    def sift(self, p: Permutation) -> Permutation:
-        """Strip p through the chain; identity residue means membership."""
-        residue, _ = self.sift_from(p, 0)
-        return residue
-
     def sift_from(self, p: Permutation, start: int) -> tuple[Permutation, int]:
-        for i in range(start, len(self.base)):
-            gamma = p(self.base[i])
-            trans = self.transversals[i]
+        """Strip p from level ``start``; return the residue and the level reached."""
+        base, transversals = self.base, self.transversals
+        for i in range(start, len(base)):
+            gamma = p(base[i])
+            trans = transversals[i]
             if gamma not in trans:
                 return p, i
             p = p * trans[gamma].inverse()
-        return p, len(self.base)
+        return p, len(base)
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self.sift(p).is_identity()
+        return self.sift_from(p, 0)[0].is_identity()
 
     def stabilizer_order_from(self, level: int) -> int:
         """Order of the pointwise stabilizer of ``base[:level]``."""
@@ -72,6 +69,41 @@ class StabilizerChain:
                     yield s * u
 
         return rec(0)
+
+
+def schreier_tree(
+    gens: Sequence[Permutation], alpha: int,
+) -> dict[int, tuple[int, Permutation] | None]:
+    """Breadth-first orbit of ``alpha`` under ``gens``.
+
+    Maps each orbit point, in the order reached, to the edge ``(a, g)`` with
+    ``g(a)`` equal to that point; ``alpha`` maps to ``None``.
+    """
+    tree: dict[int, tuple[int, Permutation] | None] = {alpha: None}
+    queue = [alpha]
+    for a in queue:
+        for g in gens:
+            b = g(a)
+            if b not in tree:
+                tree[b] = (a, g)
+                queue.append(b)
+    return tree
+
+
+def orbit_partition(gens: Sequence[Permutation],
+                    points: Iterable[int]) -> list[list[int]]:
+    """The orbits of ``<gens>`` through ``points``, in the order first met.
+
+    Each orbit is listed breadth-first from its first point in ``points``.
+    """
+    seen: set[int] = set()
+    parts = []
+    for p in points:
+        if p not in seen:
+            orbit = list(schreier_tree(gens, p))
+            seen.update(orbit)
+            parts.append(orbit)
+    return parts
 
 
 def build_chain(
@@ -115,37 +147,23 @@ def build_chain(
             strong[i].append(g)
 
     transversals: list[dict[int, Permutation]] = [dict() for _ in base]
+    chain = StabilizerChain(degree, base, transversals, strong)
 
     def compute_transversal(i: int) -> None:
-        beta = base[i]
-        trans = {beta: identity}
-        queue = [beta]
-        for a in queue:
-            ua = trans[a]
-            for g in strong[i]:
-                b = g(a)
-                if b not in trans:
-                    trans[b] = ua * g
-                    queue.append(b)
+        trans: dict[int, Permutation] = {}
+        for b, edge in schreier_tree(strong[i], chain.base[i]).items():
+            trans[b] = identity if edge is None else trans[edge[0]] * edge[1]
         transversals[i] = trans
-
-    def sift_from(p: Permutation, start: int) -> tuple[Permutation, int]:
-        for i in range(start, len(base)):
-            gamma = p(base[i])
-            trans = transversals[i]
-            if gamma not in trans:
-                return p, i
-            p = p * trans[gamma].inverse()
-        return p, len(base)
 
     for i in range(len(base)):
         compute_transversal(i)
 
     # Work from the deepest level up; the invariant is that all strictly
-    # deeper levels are complete whenever level i is processed.
+    # deeper levels are complete whenever level i is processed.  Every
+    # change to strong[l] recomputes transversals[l] at once, so each
+    # transversal is current whenever its level is read.
     i = len(base) - 1
     while i >= 0:
-        compute_transversal(i)
         trans = transversals[i]
         complete = True
         for gamma in sorted(trans):
@@ -155,17 +173,16 @@ def build_chain(
                 schreier = u * g * trans[delta].inverse()
                 if schreier.is_identity():
                     continue
-                residue, j = sift_from(schreier, i + 1)
+                residue, j = chain.sift_from(schreier, i + 1)
                 if residue.is_identity():
                     continue
                 complete = False
-                if j == len(base):
-                    base.append(residue.first_moved_point())
+                if j == len(chain.base):
+                    chain.base += (residue.first_moved_point(),)
                     strong.append([])
                     transversals.append(dict())
                 for level in range(i + 1, j + 1):
                     strong[level].append(residue)
-                for level in range(i + 1, j + 1):
                     compute_transversal(level)
                 i = j
                 break
@@ -174,7 +191,7 @@ def build_chain(
         if complete:
             i -= 1
 
-    return StabilizerChain(degree, base, transversals, strong)
+    return chain
 
 
 class PermGroup:
@@ -209,24 +226,11 @@ class PermGroup:
         return self.chain().order()
 
     def contains(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
-            raise ValueError("degree mismatch")
         return self.chain().contains(p)
-
-    def is_trivial(self) -> bool:
-        return self.order() == 1
 
     def orbit(self, alpha: int) -> list[int]:
         """Orbit of a point, ascending."""
-        seen = {alpha}
-        queue = [alpha]
-        for a in queue:
-            for g in self.generators:
-                b = g(a)
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        return sorted(seen)
+        return sorted(schreier_tree(self.generators, alpha))
 
     def point_stabilizer(self, alpha: int) -> "PermGroup":
         if not 0 <= alpha < self.degree:

@@ -21,7 +21,8 @@ class Permutation:
         n = len(images)
         seen = [False] * n
         for x in images:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+            if (not isinstance(x, int) or isinstance(x, bool)
+                    or not 0 <= x < n or seen[x]):
                 raise ValueError(f"not a bijection of 0..{n - 1}: {images!r}")
             seen[x] = True
         self.images = images
@@ -126,8 +127,3 @@ class Permutation:
             return f"Permutation.identity({len(self.images)})"
         text = "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
         return f"<Permutation deg={len(self.images)} {text}>"
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Left-to-right product: ``compose(p, q)(x) == q(p(x))``."""
-    return p * q

@@ -98,6 +98,19 @@ def test_construct_sum_needs_two_files(capsys):
     assert "two input files" in err
 
 
+def test_construct_sum_rejects_non_diagonal(tmp_path, capsys):
+    # two generating sets of AGL(1,5), paired shift-with-shift but x2 with
+    # x3, generate a subdirect product of order 100
+    first = tmp_path / "agl_a.gens"
+    first.write_text("degree 5\n(1 2 3 4 5)\n(2 3 5 4)\n")
+    second = tmp_path / "agl_b.gens"
+    second.write_text("degree 5\n(1 2 3 4 5)\n(2 4 5 3)\n")
+    code, out, err = run(capsys, "construct", "sum", str(first), str(second))
+    assert code == 2
+    assert out == ""
+    assert "not diagonal" in err
+
+
 def test_verify_step4(capsys):
     code, out, _ = run(capsys, "verify", "--only", "step4")
     assert code == 0
@@ -125,6 +138,15 @@ def test_verify_env_var_defaults(tmp_path, capsys, monkeypatch):
     assert code == 0
     doc = json.loads(out)
     assert doc["skipped"] > 0
+
+
+@pytest.mark.parametrize("name", ["QTPERM_MAX_DEGREE", "QTPERM_MAX_ORDER"])
+def test_bad_env_var_exit_2(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run(capsys, "verify", "--only", "step4")
+    assert code == 2
+    assert out == ""
+    assert f"bad value for {name}: 'abc'" in err
 
 
 def test_report_documents_validate():

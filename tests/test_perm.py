@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtperm.perm import Permutation, compose
+from qtperm.perm import Permutation
 
 
 def perms(max_degree=8):
@@ -24,7 +24,6 @@ def test_compose_left_to_right_golden():
     q = Permutation.from_cycles(3, [(1, 2)])
     assert (p * q).images == (2, 0, 1)
     assert (p * q) == Permutation.from_cycles(3, [(0, 2, 1)])
-    assert compose(p, q) == p * q
 
 
 def test_three_cycle_squared():
@@ -43,6 +42,8 @@ def test_init_rejects_non_bijection():
         Permutation((0, 0, 1))
     with pytest.raises(ValueError):
         Permutation((0, 3, 1))
+    with pytest.raises(ValueError):
+        Permutation((True, False))
 
 
 def test_from_cycles_rejects_bad_cycles():
