@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .group import PermGroup, orbit_partition
 from .perm import Permutation
@@ -135,6 +136,8 @@ def _check_invariant(G: PermGroup, orbit: Iterable[int]) -> list[int]:
 
 
 def _restricted_group(G: PermGroup, orbit: Sequence[int]) -> PermGroup:
+    if len(orbit) == G.degree:
+        return G  # the whole domain: reuse G and its cached chains
     index = {p: i for i, p in enumerate(orbit)}
     gens = [
         Permutation(tuple(index[g(p)] for p in orbit))
@@ -240,12 +243,21 @@ def _is_abelian(gens: Sequence[Permutation]) -> bool:
     return True
 
 
+def _every_group_abelian(order: int) -> bool:
+    """True when ``order`` is 1, a prime or a prime squared."""
+    p = next((d for d in range(2, math.isqrt(order) + 1) if order % d == 0),
+             order)
+    return order in (1, p, p * p)
+
+
 def pair_class_profile(G: PermGroup) -> tuple[PairClass, ...]:
     """One entry per group orbit on unordered pairs of the whole domain.
 
     Classes are found by expanding pair orbits from each orbit
     representative; stabilizer orders come from orbit-stabilizer applied to
-    the representative's point stabilizer, so no chain is rebuilt per pair.
+    the representative's point stabilizer. A chain is built for a two-point
+    stabilizer only to decide ``abelian``, and only when its order is not 1,
+    a prime or a prime squared.
     """
     n = G.degree
     if n < 2:
@@ -278,23 +290,31 @@ def pair_class_profile(G: PermGroup) -> tuple[PairClass, ...]:
                             best = pair
             seen |= members
             order_ab = stab_order // sub_sizes[beta]
-            if order_ab == 1:
-                abelian = True
-            else:
-                two_point = stab.point_stabilizer(beta)
-                abelian = _is_abelian(two_point.generators)
+            abelian = _every_group_abelian(order_ab) or _is_abelian(
+                stab.point_stabilizer(beta).generators)
             classes.append(PairClass(best, len(members), order_ab, abelian))
     classes.sort(key=lambda c: c.representative)
     return tuple(classes)
 
 
-def _verdict(classes: Sequence[PairClass]) -> QuasiVerdict:
-    orders = sorted({c.stabilizer_order for c in classes})
+def verdict_from_orders(orders: Collection[int]) -> QuasiVerdict:
+    """The verdict rule on the set of two-point stabilizer orders.
+
+    One order t > 1 is quasi-transitive, the single order 1 is constant one,
+    and anything else is non-constant (with no witnesses attached).
+    """
     if len(orders) == 1:
-        t = orders[0]
+        (t,) = orders
         if t > 1:
             return QuasiVerdict(QUASI_TRANSITIVE, t=t)
         return QuasiVerdict(CONSTANT_ONE, t=1)
+    return QuasiVerdict(NON_CONSTANT)
+
+
+def _verdict(classes: Sequence[PairClass]) -> QuasiVerdict:
+    verdict = verdict_from_orders({c.stabilizer_order for c in classes})
+    if verdict.status != NON_CONSTANT:
+        return verdict
     first = classes[0]
     other = next(c for c in classes if c.stabilizer_order != first.stabilizer_order)
     return QuasiVerdict(NON_CONSTANT, witnesses=(first, other))

@@ -71,7 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           default=_env_int("QTPERM_MAX_ORDER", 200_000))
     p_verify.add_argument("--include-q32", action="store_true")
     p_verify.add_argument("--triples", action="store_true")
-    p_verify.add_argument("--verbose", action="store_true")
+    p_verify.add_argument("--verbose", action="store_true",
+                          help="one progress line per catalog entry and a "
+                          "summary on stderr")
     return parser
 
 
@@ -139,6 +141,11 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _print_entry(name: str, tested: int, skipped: int, seconds: float) -> None:
+    print(f"{name}: tested {tested}, skipped {skipped}, {seconds:.3f}s",
+          file=sys.stderr)
+
+
 def _cmd_verify(args) -> int:
     if args.only == "step4":
         json.dump(step4_document(step4_check()), sys.stdout, indent=2)
@@ -150,7 +157,7 @@ def _cmd_verify(args) -> int:
         include_q32=args.include_q32,
         include_triples=args.triples,
     )
-    result = sweep(config)
+    result = sweep(config, _print_entry if args.verbose else None)
     json.dump(sweep_document(result), sys.stdout, indent=2)
     print()
     if args.verbose:

@@ -167,8 +167,12 @@ def disjoint_sum(actions: Sequence[LabeledAction]) -> LabeledAction:
     points = []
     for block, a in enumerate(actions):
         points.extend((block, obj) for obj in a.points)
-    label = "sum(" + ", ".join(a.label for a in actions) + ")"
-    return LabeledAction(PermGroup(gens, degree), label, points)
+    return LabeledAction(PermGroup(gens, degree), sum_label(actions), points)
+
+
+def sum_label(actions: Sequence[LabeledAction]) -> str:
+    """The label ``disjoint_sum`` gives the sum of ``actions``."""
+    return "sum(" + ", ".join(a.label for a in actions) + ")"
 
 
 def _projective_points(field: GF2Field) -> list[object]:

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
+from typing import Callable, Sequence
 
 from . import constructions as cons
-from .analysis import (QUASI_TRANSITIVE, ActionReport, analyze, quasi_verdict)
+from .analysis import (QUASI_TRANSITIVE, ActionReport, QuasiVerdict, analyze,
+                       verdict_from_orders)
+from .analysis import quasi_verdict  # noqa: F401  perfbench traces it here
 from .constructions import LabeledAction
-from .group import PermGroup
+from .group import PermGroup, orbit_partition
 from .perm import Permutation
 
 
@@ -146,55 +150,20 @@ class SweepResult:
     lemma_violations: list[LemmaViolation] = field(default_factory=list)
 
 
-def _subgroup_closure(degree: int, gens: list[Permutation],
-                      cap: int = 10_000) -> frozenset[tuple[int, ...]]:
-    elems = {Permutation.identity(degree).images}
-    queue = [Permutation.identity(degree)]
-    for p in queue:
-        for g in gens:
-            npm = p * g
-            if npm.images not in elems:
-                if len(elems) >= cap:
-                    raise ValueError("closure cap exceeded")
-                elems.add(npm.images)
-                queue.append(npm)
-    return frozenset(elems)
+def _dihedral_stabilizers(gon: LabeledAction) -> list[PermGroup]:
+    """D_n's core-free subgroups, one per conjugacy class: 1, <s>, <rs>.
 
-
-def _faithful_coset_actions(action: LabeledAction) -> list[LabeledAction]:
-    """All faithful transitive coset actions, one per conjugacy class.
-
-    Enumerates subgroups generated by one or two elements, which covers
-    every subgroup of the cyclic and dihedral groups this is used for.
+    A subgroup holding a nontrivial rotation holds a nontrivial subgroup of
+    the rotations, and each of those is normal. So the core-free subgroups
+    are 1 and the groups of order 2 generated by a reflection. The
+    reflections form one class for odd n and two for even n, with
+    representatives s and rs, where r and s are the n-gon's rotation and
+    reflection generators.
     """
-    G = action.group
-    order = G.order()
-    elements = sorted(G.elements(), key=lambda p: p.images)
-    subgroups: set[frozenset[tuple[int, ...]]] = set()
-    for i, a in enumerate(elements):
-        subgroups.add(_subgroup_closure(G.degree, [a]))
-        for b in elements[i + 1:]:
-            subgroups.add(_subgroup_closure(G.degree, [a, b]))
-    # one representative per conjugacy class of subgroups
-    chosen: set[frozenset[tuple[int, ...]]] = set()
-    for sub in subgroups:
-        conjugates = []
-        for g in elements:
-            ginv = g.inverse()
-            conj = frozenset(
-                (ginv * Permutation._unchecked(h) * g).images for h in sub)
-            conjugates.append(conj)
-        chosen.add(min(conjugates, key=sorted))
-    actions = []
-    for sub in sorted(chosen, key=sorted):
-        if len(sub) == order:
-            continue  # whole group: degree-1 action, never faithful here
-        gens = [Permutation._unchecked(h) for h in sorted(sub)]
-        H = PermGroup(gens, G.degree)
-        act = cons.coset_action(action, H)
-        if act.group.order() == order:
-            actions.append(act)
-    return actions
+    n = gon.degree
+    r, s = gon.group.generators
+    reps = [Permutation.identity(n), s] + ([r * s] if n % 2 == 0 else [])
+    return [PermGroup([h], n) for h in reps]
 
 
 def _symmetric_family() -> list[CatalogEntry]:
@@ -226,8 +195,8 @@ def _dihedral_family() -> list[CatalogEntry]:
     entries = []
     for n in range(3, 21):
         gon = cons.dihedral_group(n)
-        entries.append(CatalogEntry(f"D{n}",
-                                    tuple(_faithful_coset_actions(gon))))
+        entries.append(CatalogEntry(f"D{n}", tuple(
+            cons.coset_action(gon, H) for H in _dihedral_stabilizers(gon))))
     return entries
 
 
@@ -273,36 +242,124 @@ def default_catalog(config: SweepConfig | None = None) -> list[CatalogEntry]:
     return entries
 
 
-def sweep(config: SweepConfig | None = None) -> SweepResult:
+@dataclass(frozen=True)
+class OrbitalTable:
+    """Two-point stabilizer orders of the disjoint sums of one entry's actions.
+
+    ``within[i]`` holds |G_ab| over pairs of distinct points of X_i, and
+    ``cross[i, j]`` (i <= j) over a in X_i and b in another summand X_j,
+    which for i == j is a second copy of X_i.
+    """
+
+    within: dict[int, frozenset[int]]
+    cross: dict[tuple[int, int], frozenset[int]]
+
+    def verdict(self, shape: Sequence[int]) -> QuasiVerdict:
+        """The verdict on the sum of the actions at ascending indices ``shape``."""
+        orders: set[int] = set()
+        for k, i in enumerate(shape):
+            orders |= self.within[i]
+            for j in shape[k + 1:]:
+                orders |= self.cross[i, j]
+        return verdict_from_orders(orders)
+
+
+def orbital_table(entry: CatalogEntry, indices: Sequence[int]) -> OrbitalTable:
+    """The orbital table of the actions of ``entry`` at ascending ``indices``.
+
+    One diagonal group G acts on the disjoint union of the actions. For a
+    in X_i, the G_a-orbit O of b has |G_ab| = |G_a| / |O|, so row i of the
+    table is the G_a-orbit partition of the whole domain. Raises
+    AssertionError unless G is as large as each action's group (that is,
+    unless the sum is diagonal) and transitive on each X_i.
+    """
+    actions = [entry.actions[i] for i in indices]
+    G = cons.disjoint_sum(actions).group
+    starts = list(accumulate((a.degree for a in actions), initial=0))
+    # the first row's chain gives |G|, so no chain is built for it alone
+    order = G.chain((starts[0],)).order()
+    if any(a.group.order() != order for a in actions):
+        raise AssertionError(f"catalog entry {entry.name} is not diagonal: "
+                             f"its actions do not all have order {order}")
+    block_of = [k for k, a in enumerate(actions) for _ in range(a.degree)]
+    within: dict[int, frozenset[int]] = {}
+    cross: dict[tuple[int, int], frozenset[int]] = {}
+    for k, i in enumerate(indices):
+        a = starts[k]
+        chain = G.chain((a,))
+        if len(chain.transversals[0]) != actions[k].degree:
+            raise AssertionError(f"catalog entry {entry.name}: "
+                                 f"{actions[k].label} is not transitive")
+        stab_order = chain.stabilizer_order_from(1)
+        cells: list[set[int]] = [set() for _ in actions]
+        own: set[int] = set()
+        for orbit in orbit_partition(chain.generators_fixing(1),
+                                     range(G.degree)):
+            m = block_of[orbit[0]]
+            cells[m].add(stab_order // len(orbit))
+            if m == k and orbit != [a]:
+                own.add(stab_order // len(orbit))
+        within[i] = frozenset(own)
+        for m in range(k, len(indices)):
+            cross[i, indices[m]] = frozenset(cells[m])
+    return OrbitalTable(within, cross)
+
+
+def _tested_shapes(entry: CatalogEntry,
+                   config: SweepConfig) -> tuple[list[tuple[int, ...]], int]:
+    """Index tuples of the entry's sums within the guardrails; the skip count."""
+    acts = entry.actions
+    order = acts[0].group.order() if acts else 0
+    r_values = (2, 3) if config.include_triples else (2,)
+    tested, skipped = [], 0
+    for r in r_values:
+        for shape in combinations_with_replacement(range(len(acts)), r):
+            if sum(acts[i].degree for i in shape) > config.max_total_degree \
+                    or order > config.max_group_order:
+                skipped += 1
+            else:
+                tested.append(shape)
+    return tested, skipped
+
+
+def sweep(config: SweepConfig | None = None,
+          progress: Callable[[str, int, int, float], None] | None = None,
+          ) -> SweepResult:
     """Form disjoint sums of catalog actions and look for quasi-transitive ones.
 
     Every sum is intransitive by construction, so any quasi-transitive
     verdict is a counterexample to the transitivity theorem (none is
-    expected).
+    expected). Verdicts are read from one orbital table per catalog entry;
+    only a quasi-transitive one builds its sum, which ``analyze`` must
+    confirm before the lemma monitor reads the report. ``progress``, if
+    given, is called once per entry with its name, the tested and skipped
+    counts and the seconds spent on it.
     """
     config = config or SweepConfig()
     result = SweepResult()
-    r_values = (2, 3) if config.include_triples else (2,)
     for entry in default_catalog(config):
-        acts = entry.actions
-        order = acts[0].group.order() if acts else 0
-        for r in r_values:
-            for shape in combinations_with_replacement(range(len(acts)), r):
-                chosen = [acts[i] for i in shape]
-                total_degree = sum(a.degree for a in chosen)
-                if total_degree > config.max_total_degree or \
-                        order > config.max_group_order:
-                    result.skipped += 1
-                    continue
-                summed = cons.disjoint_sum(chosen)
-                verdict = quasi_verdict(summed.group)
-                item = SweepItem(summed.label, verdict.status, verdict.t)
-                result.tested += 1
-                result.items.append(item)
-                if verdict.status == QUASI_TRANSITIVE:
-                    result.findings.append(item)
-                    result.lemma_violations.extend(
-                        lemma_monitor(analyze(summed.group)))
+        start = time.perf_counter()
+        shapes, skipped = _tested_shapes(entry, config)
+        result.skipped += skipped
+        if shapes:
+            table = orbital_table(entry, sorted(set().union(*shapes)))
+        for shape in shapes:
+            chosen = [entry.actions[i] for i in shape]
+            verdict = table.verdict(shape)
+            item = SweepItem(cons.sum_label(chosen), verdict.status, verdict.t)
+            result.tested += 1
+            result.items.append(item)
+            if verdict.status == QUASI_TRANSITIVE:
+                result.findings.append(item)
+                report = analyze(cons.disjoint_sum(chosen).group)
+                if (report.verdict.status, report.verdict.t) != \
+                        (verdict.status, verdict.t):
+                    raise AssertionError(
+                        f"orbital table and analyze disagree on {item.label}")
+                result.lemma_violations.extend(lemma_monitor(report))
+        if progress is not None:
+            progress(entry.name, len(shapes), skipped,
+                     time.perf_counter() - start)
     result.items.sort(key=lambda it: it.label)
     result.findings.sort(key=lambda it: it.label)
     return result

@@ -90,3 +90,41 @@ def brute_is_primitive(elements, points):
                for g in elements for block in blocks):
             return False
     return True
+
+
+def brute_least_conjugate(subgroup, elements):
+    """The conjugate of a subgroup (a set of image tuples) least under sorted."""
+    conjugates = []
+    for g in elements:
+        g_inv = g.inverse()
+        conjugates.append(frozenset(
+            (g_inv * Permutation(h) * g).images for h in subgroup))
+    return min(conjugates, key=sorted)
+
+
+def brute_core_free_subgroups(generators, degree):
+    """One proper core-free subgroup per conjugacy class, by closure search.
+
+    Closes every set of one or two group elements, so it finds all subgroups
+    only of groups whose subgroups need at most two generators, such as the
+    dihedral groups. Each subgroup is given as the frozenset of its image
+    tuples, the least of its conjugates under ``sorted``, and the list is in
+    that order.
+    """
+    elements = sorted(brute_elements(generators, degree),
+                      key=lambda p: p.images)
+    subgroups = set()
+    for i, a in enumerate(elements):
+        for b in elements[i:]:
+            subgroups.add(frozenset(
+                p.images for p in brute_elements([a, b], degree)))
+    identity = frozenset([Permutation.identity(degree).images])
+    chosen = set()
+    for sub in subgroups:
+        if len(sub) == len(elements):
+            continue
+        core = frozenset.intersection(*(
+            brute_least_conjugate(sub, [g]) for g in elements))
+        if core == identity:
+            chosen.add(brute_least_conjugate(sub, elements))
+    return sorted(chosen, key=sorted)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import jsonschema
 import pytest
@@ -9,7 +10,7 @@ from qtperm.report import (ACTION_REPORT_SCHEMA, STEP4_SCHEMA, SWEEP_SCHEMA,
                            sweep_document)
 from qtperm.analysis import analyze
 from qtperm.constructions import symmetric_group
-from qtperm.verifier import SweepConfig, step4_check, sweep
+from qtperm.verifier import SweepConfig, default_catalog, step4_check, sweep
 
 
 def run(capsys, *argv):
@@ -129,6 +130,23 @@ def test_verify_restricted_sweep(capsys):
     jsonschema.validate(doc, SWEEP_SCHEMA)
     assert doc["findings"] == []
     assert "finding(s)" in err
+
+
+def test_verify_verbose_progress_per_entry(capsys):
+    code, out, err = run(capsys, "verify", "--max-degree", "12",
+                         "--max-order", "100", "--verbose")
+    assert code == 0
+    _, plain, _ = run(capsys, "verify", "--max-degree", "12",
+                      "--max-order", "100")
+    assert out == plain
+    lines = err.splitlines()
+    assert len(lines) == len(default_catalog()) + 1
+    assert re.fullmatch(r"S3: tested 3, skipped 0, \d+\.\d{3}s", lines[0])
+    assert re.fullmatch(r"S5: tested 0, skipped 6, \d+\.\d{3}s", lines[4])
+    doc = json.loads(out)
+    tested = sum(int(re.search(r"tested (\d+)", line).group(1))
+                 for line in lines[:-1])
+    assert tested == doc["tested"]
 
 
 def test_verify_env_var_defaults(tmp_path, capsys, monkeypatch):

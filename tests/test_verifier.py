@@ -4,11 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtperm.analysis import QUASI_TRANSITIVE, QuasiVerdict, analyze
-from qtperm.constructions import (action_on_k_subsets, alternating_group,
-                                  psl2, symmetric_group)
-from qtperm.verifier import (SweepConfig, default_catalog, lemma_monitor,
-                             step1_quadratic, step4_check, sweep)
+from oracles import (brute_core_free_subgroups, brute_elements,
+                     brute_least_conjugate)
+from qtperm import verifier
+from qtperm.analysis import (QUASI_TRANSITIVE, QuasiVerdict, analyze,
+                             quasi_verdict)
+from qtperm.constructions import (LabeledAction, action_on_k_subsets,
+                                  alternating_group, dihedral_group,
+                                  disjoint_sum, psl2, symmetric_group)
+from qtperm.group import PermGroup
+from qtperm.perm import Permutation
+from qtperm.verifier import (CatalogEntry, SweepConfig, default_catalog,
+                             lemma_monitor, orbital_table, step1_quadratic,
+                             step4_check, sweep)
 
 
 def test_step1_goldens():
@@ -115,3 +123,87 @@ def test_sweep_triples():
     assert result.tested > 0
     assert any(item.label.count("AGL") == 3 for item in result.items)
     assert result.findings == []
+
+
+def _status(verdict):
+    return verdict.status, verdict.t
+
+
+def _explicit_status(entry, shape):
+    summed = disjoint_sum([entry.actions[i] for i in shape])
+    return summed.label, _status(quasi_verdict(summed.group))
+
+
+def test_table_sweep_matches_explicit_sums():
+    # every tested default pair sum, through the sweep
+    config = SweepConfig()
+    expected = sorted(
+        (verifier.SweepItem(label, *status)
+         for entry in default_catalog(config)
+         for label, status in (
+             _explicit_status(entry, shape)
+             for shape in verifier._tested_shapes(entry, config)[0])),
+        key=lambda it: it.label)
+    assert sweep(config).items == expected
+
+
+def test_table_matches_explicit_triples():
+    config = SweepConfig(families=("affine", "psl"), include_triples=True)
+    triples = 0
+    for entry in default_catalog(config):
+        if entry.name not in ("AGL(1,5)", "PGammaL2(8)"):
+            continue
+        shapes = verifier._tested_shapes(entry, config)[0]
+        table = orbital_table(entry, sorted(set().union(*shapes)))
+        for shape in shapes:
+            label, status = _explicit_status(entry, shape)
+            assert _status(table.verdict(shape)) == status, label
+            triples += len(shape) == 3
+    assert triples == 8
+
+
+def test_table_within_sets_match_each_action():
+    for entry in default_catalog():
+        table = orbital_table(entry, range(len(entry.actions)))
+        for i, action in enumerate(entry.actions):
+            assert _status(table.verdict((i,))) == \
+                _status(quasi_verdict(action.group)), action.label
+
+
+def test_table_rejects_non_diagonal_entry():
+    # two generating sets of AGL(1,5), paired shift-with-shift but x2 with
+    # x3, generate a subdirect product of order 100
+    shift = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
+    actions = tuple(
+        LabeledAction(PermGroup([shift, Permutation.from_cycles(5, [c])]),
+                      f"AGL(1,5)-{k}", range(5))
+        for k, c in enumerate(((1, 2, 4, 3), (1, 3, 4, 2))))
+    with pytest.raises(AssertionError, match="two-AGL"):
+        orbital_table(CatalogEntry("two-AGL", actions), (0, 1))
+
+
+def test_quasi_transitive_table_verdict_is_checked_by_analyze(monkeypatch):
+    # forge a quasi-transitive table verdict: analyze on the explicit sum
+    # must contradict it
+    monkeypatch.setattr(verifier, "verdict_from_orders",
+                        lambda orders: QuasiVerdict(QUASI_TRANSITIVE, t=2))
+    with pytest.raises(AssertionError, match="disagree"):
+        sweep(SweepConfig(families=("cyclic",), max_total_degree=6))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_dihedral_stabilizers_match_subgroup_search(n):
+    gon = dihedral_group(n)
+    elements = brute_elements(gon.group.generators, n)
+    found = [brute_least_conjugate(
+        {p.images for p in brute_elements(H.generators, n)}, elements)
+        for H in verifier._dihedral_stabilizers(gon)]
+    assert found == brute_core_free_subgroups(gon.group.generators, n)
+
+
+def test_dihedral_catalog_actions_are_faithful():
+    for entry in default_catalog(SweepConfig(families=("dihedral",))):
+        n = int(entry.name[1:])
+        assert [a.degree for a in entry.actions] == \
+            [2 * n, n] + ([n] if n % 2 == 0 else [])
+        assert all(a.group.order() == 2 * n for a in entry.actions)
