@@ -136,8 +136,6 @@ def _check_invariant(G: PermGroup, orbit: Iterable[int]) -> list[int]:
 
 
 def _restricted_group(G: PermGroup, orbit: Sequence[int]) -> PermGroup:
-    if len(orbit) == G.degree:
-        return G  # the whole domain: reuse G and its cached chains
     index = {p: i for i, p in enumerate(orbit)}
     gens = [
         Permutation(tuple(index[g(p)] for p in orbit))
@@ -154,6 +152,8 @@ def action_kernel(G: PermGroup, orbit: Iterable[int]) -> PermGroup:
 
 def is_faithful_on(G: PermGroup, orbit: Iterable[int]) -> bool:
     pts = _check_invariant(G, orbit)
+    if len(pts) == G.degree:
+        return True
     return _restricted_group(G, pts).order() == G.order()
 
 

@@ -307,14 +307,37 @@ def dihedral_2q_plus_2_subgroup(action: LabeledAction) -> PermGroup:
 
 
 def subgroup_normalizer(action: LabeledAction, H: PermGroup) -> PermGroup:
-    """Normalizer of H in the action's group, by full element enumeration."""
-    h_elems = {p.images for p in H.elements()}
-    gens = []
-    for g in action.group.elements():
-        g_inv = g.inverse()
-        if all((g_inv * h * g).images in h_elems for h in H.generators):
-            gens.append(g)
-    return PermGroup(gens, action.degree)
+    """Normalizer in PGammaL2(q) of a dihedral torus subgroup H, in closed form.
+
+    ``action`` is PGammaL2(q) on the projective line and ``H`` is the group
+    ``dihedral_2q_plus_2_subgroup`` returns: its first generator c is a
+    (q+1)-cycle generating a non-split torus C.  C is characteristic in H,
+    so H and C have one normalizer, C extended by the Frobenius of GF(q^2),
+    which acts on C by squaring.  That normalizer is <c, x> for the x with
+    x(c^k(0)) = c^(2k)(0), that is x(c(p)) = c^2(x(p)) for every point p.
+    The solutions of that equation form one coset x<c>, since <c> is the
+    centralizer of c in the symmetric group, so x is in the group if any
+    solution is.
+    """
+    c = H.generators[0]
+    degree = action.degree
+    if H.degree != degree:
+        raise ValueError("subgroup degree mismatch")
+    cycle = [0]
+    while len(cycle) < degree:
+        cycle.append(c(cycle[-1]))
+    if len(set(cycle)) != degree:
+        raise ValueError("first generator of H must be one cycle through every point")
+    images = [0] * degree
+    for k, point in enumerate(cycle):
+        images[point] = cycle[2 * k % degree]
+    x = Permutation(tuple(images))
+    if not action.group.contains(x):
+        raise AssertionError("the torus normalizer is not in the action's group")
+    N = PermGroup([c, x], degree)
+    if not all(N.contains(h) for h in H.generators):
+        raise AssertionError("H is not inside its computed normalizer")
+    return N
 
 
 def psl2_cosets(f: int) -> LabeledAction:

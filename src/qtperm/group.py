@@ -222,11 +222,17 @@ class PermGroup:
             self._chains[key] = chain
         return chain
 
+    def _any_chain(self) -> StabilizerChain:
+        """A cached chain for any base prefix, else the chain for ``()``."""
+        for chain in self._chains.values():
+            return chain
+        return self.chain()
+
     def order(self) -> int:
-        return self.chain().order()
+        return self._any_chain().order()
 
     def contains(self, p: Permutation) -> bool:
-        return self.chain().contains(p)
+        return self._any_chain().contains(p)
 
     def orbit(self, alpha: int) -> list[int]:
         """Orbit of a point, ascending."""

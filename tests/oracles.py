@@ -128,3 +128,14 @@ def brute_core_free_subgroups(generators, degree):
         if core == identity:
             chosen.add(brute_least_conjugate(sub, elements))
     return sorted(chosen, key=sorted)
+
+
+def brute_normalizer(generators, subgroup_generators, degree):
+    """Every element of <generators> that normalizes <subgroup_generators>.
+
+    Scans the whole group, so only usable up to the closure cap.
+    """
+    subgroup = {p.images for p in brute_elements(subgroup_generators, degree)}
+    return [g for g in brute_elements(generators, degree)
+            if all((g.inverse() * h * g).images in subgroup
+                   for h in subgroup_generators)]

@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
-from oracles import brute_order
+from oracles import brute_normalizer, brute_order
 from qtperm.analysis import is_two_transitive, subdegrees
 from qtperm.constructions import (LabeledAction, a7_on_15,
                                   action_on_k_subsets, affine_frobenius,
@@ -109,8 +112,26 @@ def test_dihedral_subgroup_of_psl2_8():
 
 def test_normalizer_of_dihedral_in_pgammal2():
     D = dihedral_2q_plus_2_subgroup(psl2(3))
-    N = subgroup_normalizer(pgammal2(3), D)
+    proj = pgammal2(3)
+    N = subgroup_normalizer(proj, D)
     assert N.order() == 54
+    scanned = brute_normalizer(proj.group.generators, D.generators, 9)
+    assert {g.images for g in N.elements()} == {g.images for g in scanned}
+
+
+def test_normalizer_of_dihedral_in_pgammal2_32():
+    D = dihedral_2q_plus_2_subgroup(psl2(5))
+    N = subgroup_normalizer(pgammal2(5), D)
+    assert N.order() == 330
+    assert all(N.contains(d) for d in D.generators)
+    assert all(D.contains(n.inverse() * d * n)
+               for n in N.generators for d in D.generators)
+
+
+def test_normalizer_needs_the_torus_generator_first():
+    c, j = dihedral_2q_plus_2_subgroup(psl2(3)).generators
+    with pytest.raises(ValueError):
+        subgroup_normalizer(pgammal2(3), PermGroup([j, c], 9))
 
 
 def test_psl2_cosets_degree_28():
@@ -125,6 +146,29 @@ def test_pgammal2_cosets_degree_28():
     assert act.degree == 28
     assert act.group.order() == 1512
     assert subdegrees(act.group, 0) == (1, 27)
+
+
+# sha256 of the generators and coset representatives of each action: the
+# labelling of the coset points must not move when a construction changes.
+COSET_DIGESTS = {
+    (psl2_cosets, 3):
+        "bbc135da006a856f0d5df6180729d3ab0c10ef1ca2e63a11685bf4fb5ce883c3",
+    (pgammal2_cosets, 3):
+        "742833a35c91bad47fb9e7b7f74e74aaa1482ee0071ce5b668e156a354b13214",
+    (psl2_cosets, 5):
+        "7737d24664178872608fb93d014571fd6edbc909d588b0364db952903fd79989",
+    (pgammal2_cosets, 5):
+        "c91418d823979df0f880bb50a7ac45b2db3d1c35aadad564bad63775a29ed31c",
+}
+
+
+@pytest.mark.parametrize("build, f", list(COSET_DIGESTS),
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_coset_actions_golden_digest(build, f):
+    act = build(f)
+    text = json.dumps([[list(g.images) for g in act.group.generators],
+                       [list(p.images) for p in act.points]])
+    assert hashlib.sha256(text.encode()).hexdigest() == COSET_DIGESTS[build, f]
 
 
 def test_coset_action_point_stabilizer_is_subgroup():

@@ -11,7 +11,8 @@ from qtperm.analysis import is_primitive, orbits, subdegrees
 from qtperm.constructions import (action_on_k_subsets, affine_frobenius,
                                   alternating_group, coset_action,
                                   cyclic_group, dihedral_group, disjoint_sum,
-                                  psl2_cosets, regular_action, symmetric_group)
+                                  pgammal2_cosets, psl2_cosets, regular_action,
+                                  symmetric_group)
 from qtperm.group import PermGroup
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
@@ -48,10 +49,15 @@ def _actions():
     yield action_on_k_subsets(alternating_group(7), 2)
     yield psl2_cosets(3)
     yield action_on_k_subsets(symmetric_group(8), 4)
+    # the paper's largest exhibits, PSL2(32) and PGammaL2(32) on 496 cosets
+    yield psl2_cosets(5)
+    yield pgammal2_cosets(5)
 
 
-@pytest.mark.parametrize("action", list(_actions()),
-                         ids=lambda action: action.label)
+ACTIONS = list(_actions())
+
+
+@pytest.mark.parametrize("action", ACTIONS, ids=lambda action: action.label)
 def test_orbits_subdegrees_and_primitivity_match_sympy(action):
     G = action.group
     S = _sympy_group(g.images for g in G.generators)
@@ -64,8 +70,16 @@ def test_orbits_subdegrees_and_primitivity_match_sympy(action):
             expected = sorted(len(o) for o in S.stabilizer(alpha).orbits()
                               if o <= set(orbit))
             assert subdegrees(G, alpha) == tuple(expected)
+            # pointwise_stabilizer, not stabilizer(alpha).order(): that one
+            # runs Schreier-Sims on every Schreier generator, about 2 s a
+            # point on PGammaL2(32) on 496 cosets
+            assert G.point_stabilizer(alpha).order() == \
+                S.pointwise_stabilizer([alpha]).order()
         if len(orbit) < 2:
             continue
+        alpha, beta = orbit[-1], orbit[len(orbit) // 3]
+        assert G.two_point_stabilizer_order(alpha, beta) == \
+            S.pointwise_stabilizer([alpha, beta]).order()
         index = {p: i for i, p in enumerate(orbit)}
         restricted = _sympy_group(
             [index[g(p)] for p in orbit] for g in G.generators)
