@@ -21,13 +21,6 @@ class OrbitDecomposition:
     orbits: tuple[tuple[int, ...], ...]
     representatives: tuple[int, ...]
 
-    def orbit_index_map(self) -> dict[int, int]:
-        idx = {}
-        for i, orbit in enumerate(self.orbits):
-            for p in orbit:
-                idx[p] = i
-        return idx
-
 
 @dataclass(frozen=True)
 class PairClass:
@@ -76,12 +69,16 @@ def orbits(G: PermGroup) -> OrbitDecomposition:
     return OrbitDecomposition(tuple(found), tuple(o[0] for o in found))
 
 
-def _suborbits(G: PermGroup, alpha: int,
-               points: Iterable[int]) -> tuple[PermGroup, int, list[list[int]]]:
-    """G_alpha, its order and its orbits on a G-invariant point set."""
-    stab = G.point_stabilizer(alpha)
-    order = G.chain((alpha,)).stabilizer_order_from(1)
-    return stab, order, orbit_partition(stab.generators, points)
+def suborbits(G: PermGroup, alpha: int) -> tuple[int, list[list[int]]]:
+    """|G_alpha| and the G_alpha-orbits of the whole domain.
+
+    Both are read from G's chain for base prefix (alpha,). The orbits come in
+    order of their least points, each listed breadth-first from it. For b in
+    an orbit O, |G_alpha,b| = |G_alpha| / |O|.
+    """
+    chain = G.chain((alpha,))
+    return chain.stabilizer_order_from(1), orbit_partition(
+        chain.generators_fixing(1), range(G.degree))
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,9 @@ class _OrbitRecord:
 
 def _orbit_record(G: PermGroup, alpha: int,
                   points: Sequence[int]) -> _OrbitRecord:
-    _, order, parts = _suborbits(G, alpha, points)
+    order, parts = suborbits(G, alpha)
+    inside = set(points)
+    parts = [part for part in parts if part[0] in inside]
     return _OrbitRecord(
         alpha, order, tuple(sorted(len(part) for part in parts)),
         tuple(part[0] for part in parts if part[0] != alpha))
@@ -253,47 +252,41 @@ def _every_group_abelian(order: int) -> bool:
 def pair_class_profile(G: PermGroup) -> tuple[PairClass, ...]:
     """One entry per group orbit on unordered pairs of the whole domain.
 
-    Classes are found by expanding pair orbits from each orbit
-    representative; stabilizer orders come from orbit-stabilizer applied to
-    the representative's point stabilizer. A chain is built for a two-point
-    stabilizer only to decide ``abelian``, and only when its order is not 1,
-    a prime or a prime squared.
+    Each class is read from the suborbits of a, the least point of a G-orbit.
+    A G_a-orbit O of b != a, with b in a's orbit or one whose least point is
+    above a, gives the class of {a, b}: |G_ab| = |G_a| / |O| and |a^G| |O|
+    unordered pairs. When b lies in a's orbit, the paired suborbit O*
+    (holding u^-1(a) for the u in G with u(a) = b) gives the same unordered
+    pairs reversed, so it joins the class, which has half as many pairs when
+    O* = O. Suborbits come in order of their least points, so O* never
+    precedes O and (a, b) is the least pair of its class. A chain is built
+    for a two-point stabilizer only to decide ``abelian``, and only when its
+    order is not 1, a prime or a prime squared.
     """
-    n = G.degree
-    if n < 2:
+    if G.degree < 2:
         raise ValueError("degree must be at least 2")
-    decomp = orbits(G)
-    orbit_of = decomp.orbit_index_map()
-    gens = G.generators
-    seen: set[tuple[int, int]] = set()
     classes: list[PairClass] = []
-    for i, rep in enumerate(decomp.representatives):
-        stab, stab_order, parts = _suborbits(G, rep, range(n))
-        sub_sizes = {p: len(part) for part in parts for p in part}
-        for beta in range(n):
-            if beta == rep or orbit_of[beta] < i:
+    done: set[int] = set()  # the points of the G-orbits already read
+    for orbit in orbit_partition(G.generators, range(G.degree)):
+        a = orbit[0]
+        stab_order, parts = suborbits(G, a)
+        transversal = G.chain((a,)).transversals[0]
+        joined: set[int] = set()  # u^-1(a) of every suborbit read so far
+        for part in parts:
+            b = part[0]
+            if b == a or b in done or not joined.isdisjoint(part):
                 continue
-            start = (rep, beta) if rep < beta else (beta, rep)
-            if start in seen:
-                continue
-            members = {start}
-            queue = [start]
-            best = start
-            for (u, v) in queue:
-                for g in gens:
-                    a, b = g(u), g(v)
-                    pair = (a, b) if a < b else (b, a)
-                    if pair not in members:
-                        members.add(pair)
-                        queue.append(pair)
-                        if pair < best:
-                            best = pair
-            seen |= members
-            order_ab = stab_order // sub_sizes[beta]
+            size = len(orbit) * len(part)
+            if b in transversal:
+                paired = transversal[b].images.index(a)
+                joined.add(paired)
+                if paired in part:
+                    size //= 2
+            order_ab = stab_order // len(part)
             abelian = _every_group_abelian(order_ab) or _is_abelian(
-                stab.point_stabilizer(beta).generators)
-            classes.append(PairClass(best, len(members), order_ab, abelian))
-    classes.sort(key=lambda c: c.representative)
+                G.point_stabilizer(a).point_stabilizer(b).generators)
+            classes.append(PairClass((a, b), size, order_ab, abelian))
+        done.update(orbit)
     return tuple(classes)
 
 

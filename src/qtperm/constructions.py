@@ -10,6 +10,9 @@ from .group import PermGroup, build_chain
 from .perm import Permutation
 
 INFINITY = "inf"
+# guardrails: both actions have one point per element or coset
+MAX_REGULAR_ORDER = 10_000
+MAX_COSET_INDEX = 10_000
 
 
 class LabeledAction:
@@ -106,11 +109,12 @@ def action_on_k_subsets(action: LabeledAction, k: int) -> LabeledAction:
     return LabeledAction(group, f"{action.label}-on-{k}-subsets", subsets)
 
 
-def regular_action(action: LabeledAction, max_order: int = 10_000) -> LabeledAction:
+def regular_action(action: LabeledAction) -> LabeledAction:
     """Right-regular action of the group on its own elements."""
     order = action.group.order()
-    if order > max_order:
-        raise ValueError(f"group too large for regular action: {order} > {max_order}")
+    if order > MAX_REGULAR_ORDER:
+        raise ValueError(f"group too large for regular action: "
+                         f"{order} > {MAX_REGULAR_ORDER}")
     elements = sorted(p.images for p in action.group.elements())
     index = {e: i for i, e in enumerate(elements)}
     perms = [Permutation._unchecked(e) for e in elements]
@@ -239,8 +243,7 @@ def _min_coset_rep(chain, g: Permutation) -> Permutation:
     return cur
 
 
-def coset_action(action: LabeledAction, H: PermGroup,
-                 max_index: int = 10_000) -> LabeledAction:
+def coset_action(action: LabeledAction, H: PermGroup) -> LabeledAction:
     """Transitive action on right cosets of a subgroup H."""
     G = action.group
     if H.degree != G.degree:
@@ -253,8 +256,8 @@ def coset_action(action: LabeledAction, H: PermGroup,
     index, remainder = divmod(g_order, h_order)
     if remainder:
         raise AssertionError("subgroup order does not divide the group order")
-    if index > max_index:
-        raise ValueError(f"coset index too large: {index} > {max_index}")
+    if index > MAX_COSET_INDEX:
+        raise ValueError(f"coset index too large: {index} > {MAX_COSET_INDEX}")
 
     # A chain over the full point sequence makes the lex-least coset
     # representative computable greedily, one base point at a time.

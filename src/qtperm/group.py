@@ -251,9 +251,14 @@ class PermGroup:
         return PermGroup(gens, self.degree)
 
     def two_point_stabilizer_order(self, alpha: int, beta: int) -> int:
+        """|G_alpha| / |beta^(G_alpha)|, read from the chain for prefix (alpha,)."""
         if alpha == beta:
             raise ValueError("the two points must be distinct")
-        return self.chain((alpha, beta)).stabilizer_order_from(2)
+        if not 0 <= beta < self.degree:
+            raise ValueError(f"point {beta} out of range")
+        chain = self.chain((alpha,))
+        return chain.stabilizer_order_from(1) // len(
+            schreier_tree(chain.generators_fixing(1), beta))
 
     def elements(self) -> Iterator[Permutation]:
         return self.chain().elements()

@@ -10,10 +10,10 @@ from typing import Callable, Sequence
 
 from . import constructions as cons
 from .analysis import (QUASI_TRANSITIVE, ActionReport, QuasiVerdict, analyze,
-                       verdict_from_orders)
+                       suborbits, verdict_from_orders)
 from .analysis import quasi_verdict  # noqa: F401  perfbench traces it here
 from .constructions import LabeledAction
-from .group import PermGroup, orbit_partition
+from .group import PermGroup
 from .perm import Permutation
 
 
@@ -286,18 +286,16 @@ def orbital_table(entry: CatalogEntry, indices: Sequence[int]) -> OrbitalTable:
     cross: dict[tuple[int, int], frozenset[int]] = {}
     for k, i in enumerate(indices):
         a = starts[k]
-        chain = G.chain((a,))
-        if len(chain.transversals[0]) != actions[k].degree:
+        stab_order, parts = suborbits(G, a)
+        if order // stab_order != actions[k].degree:
             raise AssertionError(f"catalog entry {entry.name}: "
                                  f"{actions[k].label} is not transitive")
-        stab_order = chain.stabilizer_order_from(1)
         cells: list[set[int]] = [set() for _ in actions]
         own: set[int] = set()
-        for orbit in orbit_partition(chain.generators_fixing(1),
-                                     range(G.degree)):
+        for orbit in parts:
             m = block_of[orbit[0]]
             cells[m].add(stab_order // len(orbit))
-            if m == k and orbit != [a]:
+            if m == k and orbit[0] != a:
                 own.add(stab_order // len(orbit))
         within[i] = frozenset(own)
         for m in range(k, len(indices)):

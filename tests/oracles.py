@@ -139,3 +139,30 @@ def brute_normalizer(generators, subgroup_generators, degree):
     return [g for g in brute_elements(generators, degree)
             if all((g.inverse() * h * g).images in subgroup
                    for h in subgroup_generators)]
+
+
+def brute_pair_classes(generators, degree, order):
+    """(representative, size, stabilizer order) of every orbit on unordered pairs.
+
+    Expands the orbit of each ordered pair (a, b), a < b, breadth-first. Its
+    unordered pairs are the class of {a, b}, the least of them is the
+    representative, and |G_ab| = |G| / |(a, b)^G|. Sorted by representative.
+    """
+    images = [g.images for g in generators]
+    seen = set()
+    classes = []
+    for start in combinations(range(degree), 2):
+        if start in seen:
+            continue
+        orbit = {start}
+        queue = [start]
+        for a, b in queue:
+            for g in images:
+                image = (g[a], g[b])
+                if image not in orbit:
+                    orbit.add(image)
+                    queue.append(image)
+        members = {(min(p), max(p)) for p in orbit}
+        seen |= members
+        classes.append((min(members), len(members), order // len(orbit)))
+    return sorted(classes)

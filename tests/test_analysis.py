@@ -2,7 +2,8 @@ from math import comb
 
 import pytest
 
-from oracles import (brute_elements, brute_is_primitive, brute_pair_orders,
+from oracles import (brute_elements, brute_is_primitive, brute_pair_classes,
+                     brute_pair_orders,
                      brute_point_stabilizer_order)
 from qtperm.analysis import (CONSTANT_ONE, NON_CONSTANT, QUASI_TRANSITIVE,
                              action_kernel, analyze, is_faithful_on,
@@ -12,9 +13,11 @@ from qtperm.analysis import (CONSTANT_ONE, NON_CONSTANT, QUASI_TRANSITIVE,
 from qtperm.constructions import (action_on_k_subsets, affine_frobenius,
                                   alternating_group, cyclic_group,
                                   dihedral_group, disjoint_sum,
+                                  pgammal2_cosets, psl2_cosets,
                                   regular_action, symmetric_group)
 from qtperm.group import PermGroup
 from qtperm.perm import Permutation
+from qtperm.verifier import default_catalog
 
 
 def test_orbits_sorted_by_size_then_min():
@@ -68,6 +71,43 @@ def test_pair_profile_invariant_under_conjugation():
                  for c in pair_class_profile(G))
     assert key == sorted((c.size, c.stabilizer_order, c.abelian)
                          for c in pair_class_profile(conj))
+
+
+def _assert_pair_classes_match_brute(G):
+    expected = brute_pair_classes(G.generators, G.degree, G.order())
+    assert [(c.representative, c.size, c.stabilizer_order)
+            for c in pair_class_profile(G)] == expected
+
+
+def test_pair_classes_match_brute_on_catalog():
+    checked = 0
+    for entry in default_catalog():
+        for action in entry.actions:
+            if action.degree <= 200:
+                _assert_pair_classes_match_brute(action.group)
+                checked += 1
+    assert checked >= 80
+
+
+def _with_fixed_points():
+    # S_3 on {0, 1, 2} and D_4 on {4, 5, 6, 7}, fixing 3 and 8
+    return PermGroup([Permutation.from_cycles(9, cycles) for cycles in
+                      ([(0, 1, 2)], [(0, 1)], [(4, 5, 6, 7)], [(4, 6)])], 9)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: psl2_cosets(5).group,
+    lambda: pgammal2_cosets(5).group,
+    # suborbits that are not self-paired
+    lambda: cyclic_group(7).group,
+    # point 0's orbit is not the first orbit in size order
+    lambda: disjoint_sum([action_on_k_subsets(symmetric_group(4), 2),
+                          symmetric_group(4)]).group,
+    _with_fixed_points,
+], ids=["psl2_cosets(5)", "pgammal2_cosets(5)", "C7", "S4-pairs+S4",
+        "fixed-points"])
+def test_pair_classes_match_brute(build):
+    _assert_pair_classes_match_brute(build())
 
 
 def test_action_kernel_direct_product():

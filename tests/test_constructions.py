@@ -64,7 +64,7 @@ def test_regular_action_trivial_stabilizers():
 
 def test_regular_action_respects_cap():
     with pytest.raises(ValueError):
-        regular_action(symmetric_group(8), max_order=1000)
+        regular_action(symmetric_group(8))
 
 
 def test_affine_frobenius_two_transitive():

@@ -89,6 +89,13 @@ def test_two_point_stabilizer_symmetry():
             == G.two_point_stabilizer_order(3, 0) == 3)
 
 
+def test_two_point_stabilizer_rejects_bad_points():
+    G = alternating_group(5).group
+    for alpha, beta in ((0, 0), (0, 5), (5, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            G.two_point_stabilizer_order(alpha, beta)
+
+
 def test_order_invariant_under_base_change():
     G = psl2(3).group
     assert G.chain((5, 2, 0)).order() == G.chain().order() == 504

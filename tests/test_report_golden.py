@@ -1,0 +1,48 @@
+"""sha256 of the JSON documents of `analyze` and the sweep.
+
+Every verdict and report must stay bit-identical while the engine changes;
+these digests pin the documents that `qtperm analyze` and `qtperm verify`
+print (the CLI adds a label to the report and a final newline).
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from qtperm.analysis import analyze
+from qtperm.constructions import pgammal2_cosets, psl2_cosets
+from qtperm.report import action_report_document, sweep_document
+from qtperm.verifier import SweepConfig, sweep
+
+
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+
+
+REPORT_DIGESTS = {
+    psl2_cosets:
+        "d357fba50665c295fd03caa9bd3e624e73135a3c8a13f545e41a41d774c694e2",
+    pgammal2_cosets:
+        "22df097751fdb6f874ca0eb54bd4ce04c74a7ce80ba5516b1e7505f93d400147",
+}
+
+SWEEP_DIGESTS = {
+    "default":
+        "0a33af5057ed7c2bec5749bc551ea94ad222ca93be0b6a7f85c49d1f2eda5dab",
+    "triples":
+        "965eceb67c11b2b80f056984d489b8a517dd15bc3a802109c11188298bc08645",
+}
+
+
+@pytest.mark.parametrize("build", list(REPORT_DIGESTS),
+                         ids=lambda build: f"{build.__name__}(5)")
+def test_action_report_golden_digest(build):
+    doc = action_report_document(analyze(build(5).group))
+    assert _digest(doc) == REPORT_DIGESTS[build]
+
+
+@pytest.mark.parametrize("name", list(SWEEP_DIGESTS))
+def test_sweep_golden_digest(name):
+    config = SweepConfig(include_triples=(name == "triples"))
+    assert _digest(sweep_document(sweep(config))) == SWEEP_DIGESTS[name]
