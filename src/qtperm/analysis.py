@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .group import PermGroup, orbit_partition
 from .perm import Permutation
@@ -69,29 +69,20 @@ def orbits(G: PermGroup) -> OrbitDecomposition:
     return OrbitDecomposition(tuple(found), tuple(o[0] for o in found))
 
 
-def suborbits(G: PermGroup, alpha: int) -> tuple[int, list[list[int]]]:
-    """|G_alpha| and the G_alpha-orbits of the whole domain.
-
-    Both are read from G's chain for base prefix (alpha,). The orbits come in
-    order of their least points, each listed breadth-first from it. For b in
-    an orbit O, |G_alpha,b| = |G_alpha| / |O|.
-    """
-    chain = G.chain((alpha,))
-    return chain.stabilizer_order_from(1), orbit_partition(
-        chain.generators_fixing(1), range(G.degree))
-
-
 @dataclass(frozen=True)
-class _OrbitRecord:
-    """What the suborbit classifiers read: |G_alpha| and its suborbits.
+class _Row:
+    """|G_alpha| and the G_alpha-orbits of the domain, from G's chain for (alpha,).
 
-    ``subdegrees`` are the G_alpha-orbit lengths on the orbit, ascending and
-    including alpha's own 1; ``betas`` holds one point of every G_alpha-orbit
-    other than {alpha}.
+    ``parts`` come in order of their least points, each breadth-first from
+    it. ``transversal`` maps each b in alpha's G-orbit to a u with u(alpha) =
+    b. ``subdegrees`` (ascending, with alpha's own 1) and ``betas`` (least
+    points, without alpha) describe the parts inside an invariant set.
     """
 
     alpha: int
     stab_order: int
+    parts: list[list[int]]
+    transversal: dict[int, Permutation]
     subdegrees: tuple[int, ...]
     betas: tuple[int, ...]
 
@@ -107,14 +98,53 @@ class _OrbitRecord:
             d == self.stab_order for d in self.subdegrees[1:])
 
 
-def _orbit_record(G: PermGroup, alpha: int,
-                  points: Sequence[int]) -> _OrbitRecord:
-    order, parts = suborbits(G, alpha)
-    inside = set(points)
-    parts = [part for part in parts if part[0] in inside]
-    return _OrbitRecord(
-        alpha, order, tuple(sorted(len(part) for part in parts)),
-        tuple(part[0] for part in parts if part[0] != alpha))
+def _row(G: PermGroup, alpha: int,
+         points: Collection[int] | None = None) -> _Row:
+    """The row of alpha on the invariant set ``points`` (default: alpha's orbit)."""
+    chain = G.chain((alpha,))
+    parts = orbit_partition(chain.generators_fixing(1), range(G.degree))
+    transversal = chain.transversals[0]
+    inside = transversal if points is None else points
+    own = [part for part in parts if part[0] in inside]
+    return _Row(alpha, chain.stabilizer_order_from(1), parts, transversal,
+                tuple(sorted(len(part) for part in own)),
+                tuple(part[0] for part in own if part[0] != alpha))
+
+
+def _rows(G: PermGroup) -> list[_Row]:
+    """One row per G-orbit, at its least point, in order of least points."""
+    return [_row(G, orbit[0])
+            for orbit in orbit_partition(G.generators, range(G.degree))]
+
+
+def _pair_classes(rows: Sequence[_Row]) -> Iterator[tuple[int, int, int, int]]:
+    """(a, b, pairs, |G_ab|) for each G-orbit on unordered pairs of points.
+
+    ``rows`` are the rows of every G-orbit in order of least points. A part
+    O of b != a in the row of a, with b in a's orbit or in a later one, gives
+    the class of {a, b}: |G_ab| = |G_a| / |O| and |a^G| |O| unordered pairs.
+    When b lies in a's orbit, the paired part O* (holding u^-1(a) for the u
+    in G with u(a) = b) gives the same unordered pairs reversed, so it joins
+    the class, which has half as many pairs when O* = O. Parts come in order
+    of their least points, so O* never precedes O and (a, b) is the least
+    pair of its class.
+    """
+    done: set[int] = set()  # the points of the G-orbits already read
+    for row in rows:
+        a, transversal = row.alpha, row.transversal
+        joined: set[int] = set()  # u^-1(a) of every part read so far
+        for part in row.parts:
+            b = part[0]
+            if b == a or b in done or not joined.isdisjoint(part):
+                continue
+            pairs = len(transversal) * len(part)
+            if b in transversal:
+                paired = transversal[b].images.index(a)
+                joined.add(paired)
+                if paired in part:
+                    pairs //= 2
+            yield a, b, pairs, row.stab_order // len(part)
+        done.update(transversal)
 
 
 def subdegrees(G: PermGroup, alpha: int) -> tuple[int, ...]:
@@ -122,11 +152,13 @@ def subdegrees(G: PermGroup, alpha: int) -> tuple[int, ...]:
 
     Includes the fixed point's 1; sorted ascending.
     """
-    return _orbit_record(G, alpha, G.orbit(alpha)).subdegrees
+    return _row(G, alpha).subdegrees
 
 
 def _check_invariant(G: PermGroup, orbit: Iterable[int]) -> list[int]:
     pts = sorted(set(orbit))
+    if pts and (pts[0] < 0 or pts[-1] >= G.degree):
+        raise ValueError("point out of range")
     pset = set(pts)
     for g in G.generators:
         if any(g(p) not in pset for p in pts):
@@ -156,12 +188,12 @@ def is_faithful_on(G: PermGroup, orbit: Iterable[int]) -> bool:
     return _restricted_group(G, pts).order() == G.order()
 
 
-def _classified(G: PermGroup, orbit: Iterable[int]) -> tuple[list[int], _OrbitRecord]:
-    """An invariant set of at least 2 points and the record of its least point."""
+def _classified(G: PermGroup, orbit: Iterable[int]) -> tuple[list[int], _Row]:
+    """An invariant set of at least 2 points and the row of its least point."""
     pts = _check_invariant(G, orbit)
     if len(pts) < 2:
         raise ValueError("orbit must have at least 2 points")
-    return pts, _orbit_record(G, pts[0], pts)
+    return pts, _row(G, pts[0], set(pts))
 
 
 def is_two_transitive(G: PermGroup, orbit: Iterable[int]) -> bool:
@@ -214,7 +246,7 @@ def _minimal_block_size(gens, points, alpha, beta):
     return sum(1 for p in points if find(p) == root)
 
 
-def _primitive(G: PermGroup, pts: Sequence[int], record: _OrbitRecord) -> bool:
+def _primitive(G: PermGroup, pts: Sequence[int], row: _Row) -> bool:
     """Minimal blocks through alpha and one beta per G_alpha-suborbit.
 
     For h in G_alpha the minimal block through {alpha, beta^h} is the image
@@ -222,16 +254,16 @@ def _primitive(G: PermGroup, pts: Sequence[int], record: _OrbitRecord) -> bool:
     decides every block through alpha.
     """
     return all(
-        _minimal_block_size(G.generators, pts, record.alpha, beta) == len(pts)
-        for beta in record.betas)
+        _minimal_block_size(G.generators, pts, row.alpha, beta) == len(pts)
+        for beta in row.betas)
 
 
 def is_primitive(G: PermGroup, orbit: Iterable[int]) -> bool:
     """No nontrivial proper block system, by the minimal-block algorithm."""
-    pts, record = _classified(G, orbit)
-    if G.orbit(pts[0]) != pts:
+    pts, row = _classified(G, orbit)
+    if len(row.transversal) != len(pts):  # pts holds the orbit of pts[0]
         raise ValueError("group is not transitive on the given set")
-    return _primitive(G, pts, record)
+    return _primitive(G, pts, row)
 
 
 def _is_abelian(gens: Sequence[Permutation]) -> bool:
@@ -249,45 +281,24 @@ def _every_group_abelian(order: int) -> bool:
     return order in (1, p, p * p)
 
 
-def pair_class_profile(G: PermGroup) -> tuple[PairClass, ...]:
-    """One entry per group orbit on unordered pairs of the whole domain.
+def _profile(G: PermGroup, rows: Sequence[_Row]) -> tuple[PairClass, ...]:
+    """The pair classes read from the rows of every G-orbit.
 
-    Each class is read from the suborbits of a, the least point of a G-orbit.
-    A G_a-orbit O of b != a, with b in a's orbit or one whose least point is
-    above a, gives the class of {a, b}: |G_ab| = |G_a| / |O| and |a^G| |O|
-    unordered pairs. When b lies in a's orbit, the paired suborbit O*
-    (holding u^-1(a) for the u in G with u(a) = b) gives the same unordered
-    pairs reversed, so it joins the class, which has half as many pairs when
-    O* = O. Suborbits come in order of their least points, so O* never
-    precedes O and (a, b) is the least pair of its class. A chain is built
-    for a two-point stabilizer only to decide ``abelian``, and only when its
-    order is not 1, a prime or a prime squared.
+    A chain is built for a two-point stabilizer only to decide ``abelian``,
+    and only when its order is not 1, a prime or a prime squared.
     """
+    return tuple(
+        PairClass((a, b), pairs, order_ab, _every_group_abelian(order_ab)
+                  or _is_abelian(G.point_stabilizer(a).point_stabilizer(b)
+                                 .generators))
+        for a, b, pairs, order_ab in _pair_classes(rows))
+
+
+def pair_class_profile(G: PermGroup) -> tuple[PairClass, ...]:
+    """One entry per group orbit on unordered pairs of the whole domain."""
     if G.degree < 2:
         raise ValueError("degree must be at least 2")
-    classes: list[PairClass] = []
-    done: set[int] = set()  # the points of the G-orbits already read
-    for orbit in orbit_partition(G.generators, range(G.degree)):
-        a = orbit[0]
-        stab_order, parts = suborbits(G, a)
-        transversal = G.chain((a,)).transversals[0]
-        joined: set[int] = set()  # u^-1(a) of every suborbit read so far
-        for part in parts:
-            b = part[0]
-            if b == a or b in done or not joined.isdisjoint(part):
-                continue
-            size = len(orbit) * len(part)
-            if b in transversal:
-                paired = transversal[b].images.index(a)
-                joined.add(paired)
-                if paired in part:
-                    size //= 2
-            order_ab = stab_order // len(part)
-            abelian = _every_group_abelian(order_ab) or _is_abelian(
-                G.point_stabilizer(a).point_stabilizer(b).generators)
-            classes.append(PairClass((a, b), size, order_ab, abelian))
-        done.update(orbit)
-    return tuple(classes)
+    return _profile(G, _rows(G))
 
 
 def verdict_from_orders(orders: Collection[int]) -> QuasiVerdict:
@@ -319,27 +330,23 @@ def quasi_verdict(G: PermGroup) -> QuasiVerdict:
 
 
 def analyze(G: PermGroup) -> ActionReport:
-    """Everything measured about an action, in one deterministic report."""
+    """Everything measured about an action, read from one row per G-orbit."""
     if G.degree < 2:
         raise ValueError("degree must be at least 2")
-    decomp = orbits(G)
+    rows = _rows(G)
     reports = []
-    for orbit, rep in zip(decomp.orbits, decomp.representatives):
-        faithful = is_faithful_on(G, orbit)
-        if len(orbit) == 1:
-            reports.append(OrbitReport(
-                points=orbit, representative=rep, size=1, subdegrees=(1,),
-                faithful=faithful, transitive=True, two_transitive=False,
-                three_halves=False, frobenius=False, primitive=False))
-            continue
-        record = _orbit_record(G, rep, orbit)
+    for row in sorted(rows, key=lambda row: (len(row.transversal), row.alpha)):
+        orbit = tuple(sorted(row.transversal))
+        # a single point is neither Frobenius nor primitive
+        big = len(orbit) > 1
         reports.append(OrbitReport(
-            points=orbit, representative=rep, size=len(orbit),
-            subdegrees=record.subdegrees, faithful=faithful, transitive=True,
-            two_transitive=record.two_transitive(),
-            three_halves=record.three_halves(), frobenius=record.frobenius(),
-            primitive=_primitive(G, orbit, record)))
-    classes = pair_class_profile(G)
+            points=orbit, representative=row.alpha, size=len(orbit),
+            subdegrees=row.subdegrees, faithful=is_faithful_on(G, orbit),
+            transitive=True, two_transitive=row.two_transitive(),
+            three_halves=row.three_halves(),
+            frobenius=big and row.frobenius(),
+            primitive=big and _primitive(G, orbit, row)))
+    classes = _profile(G, rows)
     return ActionReport(
         degree=G.degree, order=G.order(), orbit_reports=tuple(reports),
         pair_classes=classes, verdict=_verdict(classes))

@@ -263,23 +263,21 @@ def coset_action(action: LabeledAction, H: PermGroup) -> LabeledAction:
     # representative computable greedily, one base point at a time.
     h_chain = build_chain(H.generators, H.degree, tuple(range(H.degree)))
     start = _min_coset_rep(h_chain, Permutation.identity(G.degree))
-    reps = {start.images: start}
+    targets: dict[tuple, list[tuple]] = {start.images: []}
     queue = [start]
     for r in queue:
         for s in G.generators:
             img = _min_coset_rep(h_chain, r * s)
-            if img.images not in reps:
-                reps[img.images] = img
+            if img.images not in targets:
+                targets[img.images] = []
                 queue.append(img)
-    if len(reps) != index:
+            targets[r.images].append(img.images)
+    if len(targets) != index:
         raise AssertionError("coset enumeration does not match the index")
-    ordered = sorted(reps)
+    ordered = sorted(targets)
     pos = {images: i for i, images in enumerate(ordered)}
-    gens = []
-    for s in G.generators:
-        images = [pos[_min_coset_rep(h_chain, reps[r] * s).images]
-                  for r in ordered]
-        gens.append(Permutation(tuple(images)))
+    gens = [Permutation(tuple(pos[targets[r][k]] for r in ordered))
+            for k in range(len(G.generators))]
     points = [Permutation._unchecked(r) for r in ordered]
     return LabeledAction(PermGroup(gens, index),
                          f"{action.label}-cosets-index-{index}", points)

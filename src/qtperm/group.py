@@ -236,6 +236,8 @@ class PermGroup:
 
     def orbit(self, alpha: int) -> list[int]:
         """Orbit of a point, ascending."""
+        if not 0 <= alpha < self.degree:
+            raise ValueError(f"point {alpha} out of range")
         return sorted(schreier_tree(self.generators, alpha))
 
     def point_stabilizer(self, alpha: int) -> "PermGroup":

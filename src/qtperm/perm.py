@@ -107,7 +107,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(1, *(len(c) for c in self.cycles()))
 
     def first_moved_point(self) -> int | None:
         for i, j in enumerate(self.images):

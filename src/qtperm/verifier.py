@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
 from . import constructions as cons
-from .analysis import (QUASI_TRANSITIVE, ActionReport, QuasiVerdict, analyze,
-                       suborbits, verdict_from_orders)
+from .analysis import (QUASI_TRANSITIVE, ActionReport, QuasiVerdict,
+                       _pair_classes, _rows, analyze, verdict_from_orders)
 from .analysis import quasi_verdict  # noqa: F401  perfbench traces it here
 from .constructions import LabeledAction
 from .group import PermGroup
@@ -246,61 +246,54 @@ def default_catalog(config: SweepConfig | None = None) -> list[CatalogEntry]:
 class OrbitalTable:
     """Two-point stabilizer orders of the disjoint sums of one entry's actions.
 
-    ``within[i]`` holds |G_ab| over pairs of distinct points of X_i, and
-    ``cross[i, j]`` (i <= j) over a in X_i and b in another summand X_j,
-    which for i == j is a second copy of X_i.
+    ``cells[i, j]`` (i <= j) holds |G_ab| over a in X_i and b != a in X_j,
+    and ``stab_orders[i]`` is |G_a|, the order on a and its copy in a second
+    summand X_i.
     """
 
-    within: dict[int, frozenset[int]]
-    cross: dict[tuple[int, int], frozenset[int]]
+    cells: dict[tuple[int, int], frozenset[int]]
+    stab_orders: dict[int, int]
 
     def verdict(self, shape: Sequence[int]) -> QuasiVerdict:
         """The verdict on the sum of the actions at ascending indices ``shape``."""
         orders: set[int] = set()
         for k, i in enumerate(shape):
-            orders |= self.within[i]
+            orders |= self.cells[i, i]
             for j in shape[k + 1:]:
-                orders |= self.cross[i, j]
+                orders |= self.cells[i, j]
+                if j == i:
+                    orders.add(self.stab_orders[i])
         return verdict_from_orders(orders)
 
 
 def orbital_table(entry: CatalogEntry, indices: Sequence[int]) -> OrbitalTable:
     """The orbital table of the actions of ``entry`` at ascending ``indices``.
 
-    One diagonal group G acts on the disjoint union of the actions. For a
-    in X_i, the G_a-orbit O of b has |G_ab| = |G_a| / |O|, so row i of the
-    table is the G_a-orbit partition of the whole domain. Raises
-    AssertionError unless G is as large as each action's group (that is,
-    unless the sum is diagonal) and transitive on each X_i.
+    One diagonal group G acts on the disjoint union of the actions, and the
+    table is filled from the pair classes of G: a class of {a, b} with a in
+    X_i and b in X_j gives |G_ab| to cell (i, j). Raises AssertionError
+    unless G is as large as each action's group (that is, unless the sum is
+    diagonal) and transitive on each X_i.
     """
     actions = [entry.actions[i] for i in indices]
     G = cons.disjoint_sum(actions).group
-    starts = list(accumulate((a.degree for a in actions), initial=0))
-    # the first row's chain gives |G|, so no chain is built for it alone
-    order = G.chain((starts[0],)).order()
+    rows = _rows(G)
+    order = len(rows[0].transversal) * rows[0].stab_order
     if any(a.group.order() != order for a in actions):
         raise AssertionError(f"catalog entry {entry.name} is not diagonal: "
                              f"its actions do not all have order {order}")
-    block_of = [k for k, a in enumerate(actions) for _ in range(a.degree)]
-    within: dict[int, frozenset[int]] = {}
-    cross: dict[tuple[int, int], frozenset[int]] = {}
-    for k, i in enumerate(indices):
-        a = starts[k]
-        stab_order, parts = suborbits(G, a)
-        if order // stab_order != actions[k].degree:
+    for row, action in zip(rows, actions):
+        if len(row.transversal) != action.degree:
             raise AssertionError(f"catalog entry {entry.name}: "
-                                 f"{actions[k].label} is not transitive")
-        cells: list[set[int]] = [set() for _ in actions]
-        own: set[int] = set()
-        for orbit in parts:
-            m = block_of[orbit[0]]
-            cells[m].add(stab_order // len(orbit))
-            if m == k and orbit[0] != a:
-                own.add(stab_order // len(orbit))
-        within[i] = frozenset(own)
-        for m in range(k, len(indices)):
-            cross[i, indices[m]] = frozenset(cells[m])
-    return OrbitalTable(within, cross)
+                                 f"{action.label} is not transitive")
+    block_of = [i for i, a in zip(indices, actions) for _ in range(a.degree)]
+    cells: dict[tuple[int, int], set[int]] = {
+        (i, j): set() for k, i in enumerate(indices) for j in indices[k:]}
+    for a, b, _, order_ab in _pair_classes(rows):
+        cells[block_of[a], block_of[b]].add(order_ab)
+    return OrbitalTable(
+        {key: frozenset(orders) for key, orders in cells.items()},
+        {i: row.stab_order for i, row in zip(indices, rows)})
 
 
 def _tested_shapes(entry: CatalogEntry,

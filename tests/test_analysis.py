@@ -5,6 +5,7 @@ import pytest
 from oracles import (brute_elements, brute_is_primitive, brute_pair_classes,
                      brute_pair_orders,
                      brute_point_stabilizer_order)
+from qtperm import analysis
 from qtperm.analysis import (CONSTANT_ONE, NON_CONSTANT, QUASI_TRANSITIVE,
                              action_kernel, analyze, is_faithful_on,
                              is_frobenius, is_primitive, is_three_halves,
@@ -135,6 +136,17 @@ def test_kernel_requires_invariant_set():
         action_kernel(G, [0, 1])
 
 
+@pytest.mark.parametrize("point", [-1, 5])
+def test_points_out_of_range_raise(point):
+    G = cyclic_group(5).group
+    with pytest.raises(ValueError, match="out of range"):
+        subdegrees(G, point)
+    with pytest.raises(ValueError, match="out of range"):
+        is_faithful_on(G, [0, 1, 2, 3, 4, point])
+    with pytest.raises(ValueError, match="out of range"):
+        action_kernel(G, [0, 1, 2, 3, 4, point])
+
+
 def test_two_transitive_examples():
     assert is_two_transitive(symmetric_group(5).group, range(5))
     assert is_two_transitive(affine_frobenius(5).group, range(5))
@@ -214,3 +226,22 @@ def test_point_stabilizer_order_against_brute():
     for p in range(0, G.degree, 3):
         assert G.point_stabilizer(p).order() == \
             brute_point_stabilizer_order(elems, p)
+
+
+@pytest.mark.parametrize("build, k", [
+    (lambda: psl2_cosets(3).group, 1),
+    (lambda: disjoint_sum([cyclic_group(3), cyclic_group(4)]).group, 2),
+    (_with_fixed_points, 4),
+], ids=["psl2_cosets(3)", "C3+C4", "fixed-points"])
+def test_analyze_builds_each_row_once(monkeypatch, build, k):
+    # one orbit partition of the domain, then one per G-orbit's row
+    calls = []
+    partition = analysis.orbit_partition
+
+    def counted(gens, points):
+        calls.append(1)
+        return partition(gens, points)
+
+    monkeypatch.setattr(analysis, "orbit_partition", counted)
+    analyze(build())
+    assert len(calls) == k + 1

@@ -68,6 +68,12 @@ def test_orbit_matches_brute():
         assert sorted(G.orbit(p)) == brute_orbit(gens, p)
 
 
+@pytest.mark.parametrize("point", [-1, 4])
+def test_orbit_rejects_points_out_of_range(point):
+    with pytest.raises(ValueError, match="out of range"):
+        s4().orbit(point)
+
+
 def test_point_stabilizer_orbit_stabilizer():
     G = s4()
     stab = G.point_stabilizer(1)

@@ -10,8 +10,11 @@ import json
 
 import pytest
 
+from test_analysis import _with_fixed_points
 from qtperm.analysis import analyze
-from qtperm.constructions import pgammal2_cosets, psl2_cosets
+from qtperm.constructions import (action_on_k_subsets, affine_frobenius,
+                                  cyclic_group, disjoint_sum, pgammal2_cosets,
+                                  psl2_cosets, regular_action, symmetric_group)
 from qtperm.report import action_report_document, sweep_document
 from qtperm.verifier import SweepConfig, sweep
 
@@ -27,6 +30,24 @@ REPORT_DIGESTS = {
         "22df097751fdb6f874ca0eb54bd4ce04c74a7ce80ba5516b1e7505f93d400147",
 }
 
+# intransitive groups, whose reports combine several orbits
+MULTI_ORBIT_DIGESTS = {
+    "S4-pairs+S4": (
+        lambda: disjoint_sum([action_on_k_subsets(symmetric_group(4), 2),
+                              symmetric_group(4)]).group,
+        "5acd1a41bc2b97da4f72bf17aa3058749a40bc15e645a067bb09c4a1c231036a"),
+    "AGL(1,5)+regular": (
+        lambda: disjoint_sum([affine_frobenius(5),
+                              regular_action(affine_frobenius(5))]).group,
+        "41f39179f4e44919c7c3b4007f8d4aa9d1bcb61c768cd2f1674b0e790794c4bf"),
+    "C3+C4": (
+        lambda: disjoint_sum([cyclic_group(3), cyclic_group(4)]).group,
+        "960fbdb03db5b6a221c4605cd3c4920273112e1694e4959c54f29437d1b078bd"),
+    "fixed-points": (
+        _with_fixed_points,
+        "c320fafc38fd9084059030b72a895dbdec49739a0e8a3bf0ae6a426246763b2f"),
+}
+
 SWEEP_DIGESTS = {
     "default":
         "0a33af5057ed7c2bec5749bc551ea94ad222ca93be0b6a7f85c49d1f2eda5dab",
@@ -40,6 +61,12 @@ SWEEP_DIGESTS = {
 def test_action_report_golden_digest(build):
     doc = action_report_document(analyze(build(5).group))
     assert _digest(doc) == REPORT_DIGESTS[build]
+
+
+@pytest.mark.parametrize("name", list(MULTI_ORBIT_DIGESTS))
+def test_multi_orbit_report_golden_digest(name):
+    build, digest = MULTI_ORBIT_DIGESTS[name]
+    assert _digest(action_report_document(analyze(build()))) == digest
 
 
 @pytest.mark.parametrize("name", list(SWEEP_DIGESTS))
