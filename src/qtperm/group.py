@@ -31,21 +31,25 @@ class StabilizerChain:
     def transversal_sizes(self) -> tuple[int, ...]:
         return tuple(len(t) for t in self.transversals)
 
-    def sift_from(self, p: Permutation, start: int) -> tuple[Permutation, int]:
-        """Strip p from level ``start``; return the residue and the level reached."""
+    def sift_inverse(self, q: Permutation, start: int) -> tuple[Permutation, int]:
+        """Strip p = q^-1 from level ``start``, working on q throughout.
+
+        Stripping p by u (p -> p u^-1) is q -> u q, and p(b) is the point q
+        maps to b, so no level inverts anything.  Returns the inverse of p's
+        residue and the level reached.
+        """
         base, transversals = self.base, self.transversals
         for i in range(start, len(base)):
-            gamma = p(base[i])
-            trans = transversals[i]
-            if gamma not in trans:
-                return p, i
-            p = p * trans[gamma].inverse()
-        return p, len(base)
+            u = transversals[i].get(q.images.index(base[i]))
+            if u is None:
+                return q, i
+            q = u * q
+        return q, len(base)
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self.sift_from(p, 0)[0].is_identity()
+        return self.sift_inverse(p.inverse(), 0)[0].is_identity()
 
     def stabilizer_order_from(self, level: int) -> int:
         """Order of the pointwise stabilizer of ``base[:level]``."""
@@ -110,8 +114,17 @@ def build_chain(
     generators: Sequence[Permutation],
     degree: int,
     base_prefix: Sequence[int] = (),
+    *,
+    _order: int | None = None,
 ) -> StabilizerChain:
-    """Deterministic Schreier-Sims.  The base starts with ``base_prefix``."""
+    """Deterministic Schreier-Sims.  The base starts with ``base_prefix``.
+
+    ``_order`` is for ``PermGroup.chain`` only: the group's order, read from
+    a complete chain of the same group.  The build stops as soon as its
+    transversal lengths multiply to it.  That is exact, because each partial
+    basic orbit lies inside the true one, so reaching |G| means every level
+    is complete and every Schreier generator left would sift to 1.
+    """
     for b in base_prefix:
         if not 0 <= b < degree:
             raise ValueError(f"base point {b} out of range")
@@ -158,38 +171,49 @@ def build_chain(
     for i in range(len(base)):
         compute_transversal(i)
 
+    def first_new_generator(i: int) -> tuple[Permutation, int] | None:
+        """The first Schreier generator of level i that does not sift to 1.
+
+        Returns its residue and the level the sift reached, or None when
+        level i is complete.  The generator s = u_gamma g u_delta^-1 is
+        formed and sifted as s^-1 = u_delta g^-1 u_gamma^-1, which needs one
+        inverse per strong generator and per gamma.
+        """
+        trans, gens = transversals[i], strong[i]
+        inverses = [g.inverse() for g in gens]
+        for gamma in sorted(trans):
+            u = trans[gamma]
+            u_inverse = None
+            for g, g_inverse in zip(gens, inverses):
+                t = trans[g(gamma)] * g_inverse
+                if t == u:
+                    continue
+                if u_inverse is None:
+                    u_inverse = u.inverse()
+                residue, j = chain.sift_inverse(t * u_inverse, i + 1)
+                if not residue.is_identity():
+                    return residue.inverse(), j
+        return None
+
     # Work from the deepest level up; the invariant is that all strictly
     # deeper levels are complete whenever level i is processed.  Every
     # change to strong[l] recomputes transversals[l] at once, so each
     # transversal is current whenever its level is read.
     i = len(base) - 1
-    while i >= 0:
-        trans = transversals[i]
-        complete = True
-        for gamma in sorted(trans):
-            u = trans[gamma]
-            for g in strong[i]:
-                delta = g(gamma)
-                schreier = u * g * trans[delta].inverse()
-                if schreier.is_identity():
-                    continue
-                residue, j = chain.sift_from(schreier, i + 1)
-                if residue.is_identity():
-                    continue
-                complete = False
-                if j == len(chain.base):
-                    chain.base += (residue.first_moved_point(),)
-                    strong.append([])
-                    transversals.append(dict())
-                for level in range(i + 1, j + 1):
-                    strong[level].append(residue)
-                    compute_transversal(level)
-                i = j
-                break
-            if not complete:
-                break
-        if complete:
+    while i >= 0 and (_order is None or chain.order() < _order):
+        found = first_new_generator(i)
+        if found is None:
             i -= 1
+            continue
+        residue, j = found
+        if j == len(chain.base):
+            chain.base += (residue.first_moved_point(),)
+            strong.append([])
+            transversals.append(dict())
+        for level in range(i + 1, j + 1):
+            strong[level].append(residue)
+            compute_transversal(level)
+        i = j
 
     return chain
 
@@ -213,20 +237,27 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self._chains: dict[tuple[int, ...], StabilizerChain] = {}
+        # a complete chain handed down by the group this one stabilizes in
+        self._seed: StabilizerChain | None = None
 
     def chain(self, base_prefix: Sequence[int] = ()) -> StabilizerChain:
         key = tuple(base_prefix)
         chain = self._chains.get(key)
         if chain is None:
-            chain = build_chain(self.generators, self.degree, key)
+            known = self._known_chain()
+            chain = build_chain(
+                self.generators, self.degree, key,
+                _order=None if known is None else known.order())
             self._chains[key] = chain
         return chain
 
+    def _known_chain(self) -> StabilizerChain | None:
+        """A complete chain at hand: any cached one, else the seed."""
+        return next(iter(self._chains.values()), self._seed)
+
     def _any_chain(self) -> StabilizerChain:
-        """A cached chain for any base prefix, else the chain for ``()``."""
-        for chain in self._chains.values():
-            return chain
-        return self.chain()
+        """A chain at hand, else the chain for ``()``."""
+        return self._known_chain() or self.chain()
 
     def order(self) -> int:
         return self._any_chain().order()
@@ -246,11 +277,21 @@ class PermGroup:
         return self.pointwise_stabilizer((alpha,))
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
+        """The stabilizer, seeded with the tail of the chain for ``points``.
+
+        The seed answers ``order()`` and ``contains()`` and gives the order
+        to the stabilizer's own chains, which ``chain()`` still builds.
+        """
         chain = self.chain(tuple(points))
-        gens = chain.generators_fixing(len(points))
+        k = len(points)
+        gens = chain.generators_fixing(k)
         if not gens:
             gens = [Permutation.identity(self.degree)]
-        return PermGroup(gens, self.degree)
+        stabilizer = PermGroup(gens, self.degree)
+        stabilizer._seed = StabilizerChain(
+            self.degree, chain.base[k:], chain.transversals[k:],
+            chain.strong_gens[k:])
+        return stabilizer
 
     def two_point_stabilizer_order(self, alpha: int, beta: int) -> int:
         """|G_alpha| / |beta^(G_alpha)|, read from the chain for prefix (alpha,)."""

@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Sequence
+
+
+@lru_cache(maxsize=None)
+def _identity_images(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
 
 
 class Permutation:
@@ -36,7 +43,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls._unchecked(tuple(range(n)))
+        return cls._unchecked(_identity_images(n))
 
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -66,8 +73,11 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
-        q = other.images
-        return Permutation._unchecked(tuple(q[x] for x in self.images))
+        p, q = self.images, other.images
+        if len(p) < 2:
+            # itemgetter returns a bare item for one index and needs at least one
+            return Permutation._unchecked(tuple(q[x] for x in p))
+        return Permutation._unchecked(itemgetter(*p)(q))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
@@ -88,7 +98,7 @@ class Permutation:
         return result
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted."""

@@ -1,7 +1,9 @@
 import pytest
 
 from oracles import brute_elements, brute_orbit, brute_order
-from qtperm.constructions import alternating_group, psl2, symmetric_group
+from qtperm import group
+from qtperm.constructions import (alternating_group, psl2, psl2_cosets,
+                                  symmetric_group)
 from qtperm.group import PermGroup, build_chain
 from qtperm.perm import Permutation
 
@@ -124,3 +126,35 @@ def test_elements_enumeration_matches_brute():
 def test_build_chain_rejects_mismatched_degree():
     with pytest.raises(ValueError):
         build_chain([Permutation.identity(3), Permutation.identity(4)], 4)
+
+
+@pytest.mark.parametrize("build, alpha", [
+    (lambda: psl2_cosets(3).group, 5),
+    (lambda: symmetric_group(5).group, 2),
+], ids=["psl2_cosets(3)", "S5"])
+def test_point_stabilizer_reuses_the_chain(monkeypatch, build, alpha):
+    G = build()
+    G.chain((alpha,))
+    orders = []
+    original = group.build_chain
+
+    def counted(*args, **kwargs):
+        orders.append(kwargs.get("_order"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(group, "build_chain", counted)
+    stab = G.point_stabilizer(alpha)
+    assert stab.order() == G.order() // len(G.orbit(alpha))
+    assert all(stab.contains(g) for g in stab.generators)
+    assert orders == []
+    # the stabilizer's own chains stop at the order its seed gives
+    beta = next(b for b in range(G.degree) if len(stab.orbit(b)) > 1)
+    assert stab.chain((beta,)).order() == stab.order()
+    assert orders == [stab.order()]
+
+
+def test_point_stabilizer_elements_come_from_its_own_chain():
+    G = symmetric_group(5).group
+    stab = G.point_stabilizer(3)
+    fresh = PermGroup(stab.generators, 5)
+    assert list(stab.elements()) == list(fresh.elements())

@@ -93,3 +93,30 @@ def test_pow_matches_repeated_product(p):
 def test_order_annihilates(p):
     assert (p ** p.order()).is_identity()
     assert p.order() >= 1
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_kernel_at_degrees_zero_and_one(n):
+    # itemgetter-based products need a guard below degree 2
+    e = Permutation.identity(n)
+    assert (e * e).images == tuple(range(n))
+    assert e.inverse() == e
+    assert e.is_identity()
+    assert e ** 5 == e ** -3 == e ** 0 == e
+
+
+def test_product_is_a_tuple_at_degree_two():
+    swap = Permutation((1, 0))
+    assert (swap * swap).images == (0, 1)
+    assert (swap * Permutation.identity(2)).images == (1, 0)
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (1, 2), (3, 2)])
+def test_product_rejects_degree_mismatch(m, n):
+    with pytest.raises(ValueError, match="degree mismatch"):
+        Permutation.identity(m) * Permutation.identity(n)
+
+
+def test_is_identity_compares_every_point():
+    assert not Permutation.from_cycles(5, [(3, 4)]).is_identity()
+    assert Permutation((0, 1, 2, 3, 4)).is_identity()
