@@ -238,7 +238,7 @@ def _min_coset_rep(chain, g: Permutation) -> Permutation:
         trans = chain.transversals[i]
         if len(trans) == 1:
             continue
-        best = min(trans, key=lambda gamma: cur(gamma))
+        best = min(trans, key=cur.images.__getitem__)
         cur = trans[best] * cur
     return cur
 
@@ -283,11 +283,29 @@ def coset_action(action: LabeledAction, H: PermGroup) -> LabeledAction:
                          f"{action.label}-cosets-index-{index}", points)
 
 
+def _torus_power_map(c: Permutation, m: int) -> Permutation:
+    """The permutation c^k(0) -> c^(m k)(0), for c one cycle through every point."""
+    degree = c.degree
+    cycle = [0]
+    while len(cycle) < degree:
+        cycle.append(c(cycle[-1]))
+    if len(set(cycle)) != degree:
+        raise ValueError("the torus generator must be one cycle through every point")
+    images = [0] * degree
+    for k, point in enumerate(cycle):
+        images[point] = cycle[m * k % degree]
+    return Permutation(tuple(images))
+
+
 def dihedral_2q_plus_2_subgroup(action: LabeledAction) -> PermGroup:
     """Dihedral subgroup of order 2(q+1) inside PSL2(q) on the projective line.
 
-    Finds an element of order q+1 (a non-split torus generator) and an
-    involution inverting it, in deterministic chain-enumeration order.
+    Finds the first element c of order q+1 (a non-split torus generator) in
+    deterministic chain-enumeration order, and returns <c, j> for the
+    reflection j(c^k(0)) = c^(-k)(0).  The torus <c> is regular on the q+1
+    points, so its normalizer D has order 2(q+1) and each point is fixed by
+    exactly one involution of D; the one fixing 0 inverts c, so it is j.
+    Every involution inverting c lies in D, so <c, j> is that D.
     """
     q = action.degree - 1
     cyc = None
@@ -297,14 +315,13 @@ def dihedral_2q_plus_2_subgroup(action: LabeledAction) -> PermGroup:
             break
     if cyc is None:
         raise AssertionError("no element of order q+1 found")
-    cyc_inv = cyc.inverse()
-    for j in action.group.elements():
-        if j.order() == 2 and j * cyc * j == cyc_inv:
-            D = PermGroup([cyc, j], action.degree)
-            if D.order() != 2 * (q + 1):
-                raise AssertionError("dihedral subgroup has unexpected order")
-            return D
-    raise AssertionError("no inverting involution found")
+    j = _torus_power_map(cyc, -1)
+    if not action.group.contains(j) or j * cyc * j != cyc.inverse():
+        raise AssertionError("no inverting involution found")
+    D = PermGroup([cyc, j], action.degree)
+    if D.order() != 2 * (q + 1):
+        raise AssertionError("dihedral subgroup has unexpected order")
+    return D
 
 
 def subgroup_normalizer(action: LabeledAction, H: PermGroup) -> PermGroup:
@@ -321,21 +338,12 @@ def subgroup_normalizer(action: LabeledAction, H: PermGroup) -> PermGroup:
     solution is.
     """
     c = H.generators[0]
-    degree = action.degree
-    if H.degree != degree:
+    if H.degree != action.degree:
         raise ValueError("subgroup degree mismatch")
-    cycle = [0]
-    while len(cycle) < degree:
-        cycle.append(c(cycle[-1]))
-    if len(set(cycle)) != degree:
-        raise ValueError("first generator of H must be one cycle through every point")
-    images = [0] * degree
-    for k, point in enumerate(cycle):
-        images[point] = cycle[2 * k % degree]
-    x = Permutation(tuple(images))
+    x = _torus_power_map(c, 2)
     if not action.group.contains(x):
         raise AssertionError("the torus normalizer is not in the action's group")
-    N = PermGroup([c, x], degree)
+    N = PermGroup([c, x], action.degree)
     if not all(N.contains(h) for h in H.generators):
         raise AssertionError("H is not inside its computed normalizer")
     return N

@@ -119,11 +119,14 @@ def build_chain(
 ) -> StabilizerChain:
     """Deterministic Schreier-Sims.  The base starts with ``base_prefix``.
 
-    ``_order`` is for ``PermGroup.chain`` only: the group's order, read from
-    a complete chain of the same group.  The build stops as soon as its
-    transversal lengths multiply to it.  That is exact, because each partial
-    basic orbit lies inside the true one, so reaching |G| means every level
-    is complete and every Schreier generator left would sift to 1.
+    ``_order`` is private: an upper bound on |G| the caller can prove, such
+    as the order of a complete chain of the same group, or of a group that
+    G is a homomorphic image of.  The build stops as soon as its transversal
+    lengths multiply to it.  That is exact, because each partial basic orbit
+    lies inside the true one, so the product never exceeds |G|, and reaching
+    the bound means every level is complete and every Schreier generator
+    left would sift to 1.  A smaller group never reaches the bound, so its
+    build runs to the end.
     """
     for b in base_prefix:
         if not 0 <= b < degree:

@@ -13,7 +13,7 @@ from .analysis import (QUASI_TRANSITIVE, ActionReport, QuasiVerdict,
                        _pair_classes, _rows, analyze, verdict_from_orders)
 from .analysis import quasi_verdict  # noqa: F401  perfbench traces it here
 from .constructions import LabeledAction
-from .group import PermGroup
+from .group import PermGroup, build_chain
 from .perm import Permutation
 
 
@@ -274,12 +274,16 @@ def orbital_table(entry: CatalogEntry, indices: Sequence[int]) -> OrbitalTable:
     X_i and b in X_j gives |G_ab| to cell (i, j). Raises AssertionError
     unless G is as large as each action's group (that is, unless the sum is
     diagonal) and transitive on each X_i.
+
+    Each action's group is the image of G under projection to X_i, so its
+    order is at most |G|; its chain is built to stop there and not cached.
     """
     actions = [entry.actions[i] for i in indices]
     G = cons.disjoint_sum(actions).group
     rows = _rows(G)
     order = len(rows[0].transversal) * rows[0].stab_order
-    if any(a.group.order() != order for a in actions):
+    if any(build_chain(a.group.generators, a.degree, _order=order).order()
+           != order for a in actions):
         raise AssertionError(f"catalog entry {entry.name} is not diagonal: "
                              f"its actions do not all have order {order}")
     for row, action in zip(rows, actions):

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import random
 
 import pytest
 
-from oracles import brute_normalizer, brute_order
+from oracles import brute_elements, brute_normalizer, brute_order
+from qtperm import verifier
 from qtperm.analysis import is_two_transitive, subdegrees
-from qtperm.constructions import (LabeledAction, a7_on_15,
+from qtperm.constructions import (LabeledAction, _min_coset_rep, a7_on_15,
                                   action_on_k_subsets, affine_frobenius,
                                   alternating_group, coset_action,
                                   cyclic_group, dihedral_2q_plus_2_subgroup,
@@ -13,7 +15,7 @@ from qtperm.constructions import (LabeledAction, a7_on_15,
                                   pgammal2, pgammal2_cosets, psl2,
                                   psl2_cosets, regular_action,
                                   subgroup_normalizer, symmetric_group)
-from qtperm.group import PermGroup
+from qtperm.group import PermGroup, build_chain
 from qtperm.perm import Permutation
 
 
@@ -108,6 +110,45 @@ def test_dihedral_subgroup_of_psl2_8():
     D = dihedral_2q_plus_2_subgroup(psl2(3))
     assert D.order() == 18
     assert max(g.order() for g in D.elements()) == 9
+
+
+@pytest.mark.parametrize("f", [3, 5])
+def test_dihedral_subgroup_reflection_fixes_zero_and_inverts_the_torus(f):
+    c, j = dihedral_2q_plus_2_subgroup(psl2(f)).generators
+    assert j.order() == 2
+    assert j(0) == 0
+    assert j * c * j == c.inverse()
+
+
+def test_dihedral_subgroup_is_the_torus_normalizer_in_psl2_8():
+    proj = psl2(3)
+    D = dihedral_2q_plus_2_subgroup(proj)
+    scanned = brute_normalizer(proj.group.generators, D.generators[:1], 9)
+    assert {g.images for g in D.elements()} == {g.images for g in scanned}
+
+
+def _coset_rep_cases():
+    cases = []
+    for n in (4, 5, 6, 9):
+        gon = dihedral_group(n)
+        cases += [(f"D{n}-{k}", gon.group, H)
+                  for k, H in enumerate(verifier._dihedral_stabilizers(gon))]
+    cases.append(("D18-in-PSL2(8)", psl2(3).group,
+                  dihedral_2q_plus_2_subgroup(psl2(3))))
+    cases.append(("GL(3,2)-in-A7", alternating_group(7).group,
+                  gl32_subgroup()))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, G, H", _coset_rep_cases())
+def test_min_coset_rep_is_the_lex_least_element_of_the_coset(name, G, H):
+    h_chain = build_chain(H.generators, H.degree, tuple(range(H.degree)))
+    h_elements = brute_elements(H.generators, H.degree)
+    g_elements = brute_elements(G.generators, G.degree)
+    rng = random.Random(name)
+    for g in rng.sample(g_elements, min(len(g_elements), 25)):
+        least = min((h * g).images for h in h_elements)
+        assert _min_coset_rep(h_chain, g).images == least
 
 
 def test_normalizer_of_dihedral_in_pgammal2():

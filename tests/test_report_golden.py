@@ -53,6 +53,14 @@ SWEEP_DIGESTS = {
         "0a33af5057ed7c2bec5749bc551ea94ad222ca93be0b6a7f85c49d1f2eda5dab",
     "triples":
         "965eceb67c11b2b80f056984d489b8a517dd15bc3a802109c11188298bc08645",
+    "q32":
+        "c946cf424dbf26233f3e7d15dd929a3ad9cc36ead3f657ccf8af89d068db8bcf",
+}
+
+SWEEP_CONFIGS = {
+    "default": SweepConfig(),
+    "triples": SweepConfig(include_triples=True),
+    "q32": SweepConfig(include_triples=True, include_q32=True),
 }
 
 
@@ -71,5 +79,5 @@ def test_multi_orbit_report_golden_digest(name):
 
 @pytest.mark.parametrize("name", list(SWEEP_DIGESTS))
 def test_sweep_golden_digest(name):
-    config = SweepConfig(include_triples=(name == "triples"))
-    assert _digest(sweep_document(sweep(config))) == SWEEP_DIGESTS[name]
+    doc = sweep_document(sweep(SWEEP_CONFIGS[name]))
+    assert _digest(doc) == SWEEP_DIGESTS[name]

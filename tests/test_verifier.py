@@ -180,6 +180,40 @@ def test_table_rejects_non_diagonal_entry():
         for k, c in enumerate(((1, 2, 4, 3), (1, 3, 4, 2))))
     with pytest.raises(AssertionError, match="two-AGL"):
         orbital_table(CatalogEntry("two-AGL", actions), (0, 1))
+    # S3 paired with its own sign action: the diagonal group has order 6,
+    # the sign action's group order 2, so that action's bounded build never
+    # reaches 6 and runs to the end; in either order the entry is rejected
+    s3 = symmetric_group(3)
+    sign = LabeledAction(PermGroup([Permutation.from_cycles(2, [(0, 1)]),
+                                    Permutation.identity(2)]),
+                         "S3-sign", range(2))
+    # the generators are a transposition and a 3-cycle, so the pairing by
+    # position is the sign homomorphism
+    assert [g.order() for g in s3.group.generators] == [2, 3]
+    for pair in ((s3, sign), (sign, s3)):
+        with pytest.raises(AssertionError, match="S3-quotient is not diagonal"):
+            orbital_table(CatalogEntry("S3-quotient", pair), (0, 1))
+
+
+@pytest.mark.parametrize("family, name", [
+    ("symmetric", "S4"), ("symmetric", "A5"), ("dihedral", "D6"),
+    ("affine", "AGL(1,5)"), ("psl", "PSL2(8)"), ("psl", "PGammaL2(8)")])
+def test_table_bounds_each_action_build_by_the_diagonal_order(
+        monkeypatch, family, name):
+    entry = next(e for e in default_catalog(SweepConfig(families=(family,)))
+                 if e.name == name)
+    build_chain = verifier.build_chain
+    bounds = []
+
+    def recording(*args, **kwargs):
+        bounds.append(kwargs.get("_order"))
+        return build_chain(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "build_chain", recording)
+    indices = tuple(range(len(entry.actions)))
+    orbital_table(entry, indices)
+    order = disjoint_sum(entry.actions).group.order()
+    assert bounds == [order] * len(indices)
 
 
 def test_quasi_transitive_table_verdict_is_checked_by_analyze(monkeypatch):
