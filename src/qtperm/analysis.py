@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .group import PermGroup, orbit_partition
+from .group import PermGroup, build_chain, orbit_partition, schreier_tree
 from .perm import Permutation
 
 QUASI_TRANSITIVE = "quasi_transitive"
@@ -161,18 +161,9 @@ def _check_invariant(G: PermGroup, orbit: Iterable[int]) -> list[int]:
         raise ValueError("point out of range")
     pset = set(pts)
     for g in G.generators:
-        if any(g(p) not in pset for p in pts):
+        if not pset.issuperset(map(g.images.__getitem__, pts)):
             raise ValueError("set is not invariant under the group")
     return pts
-
-
-def _restricted_group(G: PermGroup, orbit: Sequence[int]) -> PermGroup:
-    index = {p: i for i, p in enumerate(orbit)}
-    gens = [
-        Permutation(tuple(index[g(p)] for p in orbit))
-        for g in G.generators
-    ]
-    return PermGroup(gens, len(orbit))
 
 
 def action_kernel(G: PermGroup, orbit: Iterable[int]) -> PermGroup:
@@ -182,22 +173,48 @@ def action_kernel(G: PermGroup, orbit: Iterable[int]) -> PermGroup:
 
 
 def is_faithful_on(G: PermGroup, orbit: Iterable[int]) -> bool:
+    """Whether G's image on an invariant set is as large as G.
+
+    The image is a quotient of G, so its chain is built to stop at |G|.
+    """
     pts = _check_invariant(G, orbit)
     if len(pts) == G.degree:
         return True
-    return _restricted_group(G, pts).order() == G.order()
+    index = {p: i for i, p in enumerate(pts)}
+    gens = [Permutation._unchecked(tuple(
+        map(index.__getitem__, map(g.images.__getitem__, pts))))
+        for g in G.generators]
+    order = G.order()
+    return build_chain(gens, len(pts), _order=order).order() == order
 
 
-def _classified(G: PermGroup, orbit: Iterable[int]) -> tuple[list[int], _Row]:
-    """An invariant set of at least 2 points and the row of its least point."""
+def _is_diagonal_sum(G: PermGroup, degrees: Iterable[int]) -> bool:
+    """Whether a disjoint sum G, on blocks of ``degrees`` points, is diagonal.
+
+    G maps onto the group of each summand, so it is diagonal exactly when
+    it is faithful on every summand.
+    """
+    start = 0
+    for degree in degrees:
+        if not is_faithful_on(G, range(start, start + degree)):
+            return False
+        start += degree
+    return True
+
+
+def _classified(G: PermGroup, orbit: Iterable[int]) -> _Row:
+    """The row of the least point of a G-orbit of at least 2 points."""
     pts = _check_invariant(G, orbit)
     if len(pts) < 2:
         raise ValueError("orbit must have at least 2 points")
-    return pts, _row(G, pts[0], set(pts))
+    row = _row(G, pts[0], set(pts))
+    if len(row.transversal) != len(pts):  # pts holds the orbit of pts[0]
+        raise ValueError("group is not transitive on the given set")
+    return row
 
 
 def is_two_transitive(G: PermGroup, orbit: Iterable[int]) -> bool:
-    return _classified(G, orbit)[1].two_transitive()
+    return _classified(G, orbit).two_transitive()
 
 
 def is_three_halves(G: PermGroup, orbit: Iterable[int]) -> bool:
@@ -206,64 +223,33 @@ def is_three_halves(G: PermGroup, orbit: Iterable[int]) -> bool:
     Two-transitive actions count; regular ones (d = 1) do not, matching the
     hypotheses of the classical primitive-or-Frobenius dichotomy.
     """
-    return _classified(G, orbit)[1].three_halves()
+    return _classified(G, orbit).three_halves()
 
 
 def is_frobenius(G: PermGroup, orbit: Iterable[int]) -> bool:
     """Transitive, nonregular, with trivial two-point stabilizers on the orbit."""
-    return _classified(G, orbit)[1].frobenius()
+    return _classified(G, orbit).frobenius()
 
 
-def _minimal_block_size(gens, points, alpha, beta):
-    parent = {p: p for p in points}
+def _primitive(G: PermGroup, row: _Row) -> bool:
+    """Whether G is primitive on the G-orbit of the row's point alpha.
 
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        return True
-
-    stack = [(alpha, beta)]
-    union(alpha, beta)
-    while stack:
-        u, v = stack.pop()
-        for g in gens:
-            a, b = g(u), g(v)
-            if union(a, b):
-                stack.append((a, b))
-    root = find(alpha)
-    return sum(1 for p in points if find(p) == root)
-
-
-def _primitive(G: PermGroup, pts: Sequence[int], row: _Row) -> bool:
-    """Minimal blocks through alpha and one beta per G_alpha-suborbit.
-
-    For h in G_alpha the minimal block through {alpha, beta^h} is the image
-    under h of the one through {alpha, beta}, so one beta per suborbit
-    decides every block through alpha.
+    The least block holding alpha and beta is the orbit of alpha under
+    <G_alpha, u> for any u with u(alpha) = beta, since blocks through alpha
+    are the orbits of alpha under the groups between G_alpha and G. Those of
+    beta and h(beta), h in G_alpha, are the same block, so one beta per
+    suborbit decides them all.
     """
+    alpha, transversal = row.alpha, row.transversal
+    stabilizer = G.chain((alpha,)).generators_fixing(1)
     return all(
-        _minimal_block_size(G.generators, pts, row.alpha, beta) == len(pts)
-        for beta in row.betas)
+        len(schreier_tree(stabilizer + [transversal[beta]], alpha))
+        == len(transversal) for beta in row.betas)
 
 
 def is_primitive(G: PermGroup, orbit: Iterable[int]) -> bool:
-    """No nontrivial proper block system, by the minimal-block algorithm."""
-    pts, row = _classified(G, orbit)
-    if len(row.transversal) != len(pts):  # pts holds the orbit of pts[0]
-        raise ValueError("group is not transitive on the given set")
-    return _primitive(G, pts, row)
+    """No nontrivial proper block system on a G-orbit."""
+    return _primitive(G, _classified(G, orbit))
 
 
 def _is_abelian(gens: Sequence[Permutation]) -> bool:
@@ -345,7 +331,7 @@ def analyze(G: PermGroup) -> ActionReport:
             transitive=True, two_transitive=row.two_transitive(),
             three_halves=row.three_halves(),
             frobenius=big and row.frobenius(),
-            primitive=big and _primitive(G, orbit, row)))
+            primitive=big and _primitive(G, row)))
     classes = _profile(G, rows)
     return ActionReport(
         degree=G.degree, order=G.order(), orbit_reports=tuple(reports),

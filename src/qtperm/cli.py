@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import constructions as cons
-from .analysis import QUASI_TRANSITIVE, analyze
+from .analysis import QUASI_TRANSITIVE, _is_diagonal_sum, analyze
 from .genfile import (GeneratorFile, ParseError, file_from_group,
                       format_generators, group_from_file, parse_generators)
 from .report import (action_report_document, step4_document, sweep_document)
@@ -118,9 +118,7 @@ def _construct_action(args) -> GeneratorFile:
             raise SystemExit("construct sum needs at least two input files")
         summands = [_action_from_path(p) for p in args.files]
         act = cons.disjoint_sum(summands)
-        # the sum maps onto every summand, so it is diagonal exactly when
-        # its order equals each summand's order
-        if {a.group.order() for a in summands} != {act.group.order()}:
+        if not _is_diagonal_sum(act.group, [a.degree for a in summands]):
             raise SystemExit("construct sum needs generator files of one group "
                              "with matching generators (the sum is not diagonal)")
     else:  # pragma: no cover - argparse restricts choices

@@ -6,7 +6,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .gf2 import GF2Field
-from .group import PermGroup, build_chain
+from .group import PermGroup
 from .perm import Permutation
 
 INFINITY = "inf"
@@ -251,6 +251,10 @@ def coset_action(action: LabeledAction, H: PermGroup) -> LabeledAction:
     for h in H.generators:
         if not G.contains(h):
             raise ValueError("H is not a subgroup: generator outside the group")
+    # A chain over the full point sequence makes the lex-least coset
+    # representative computable greedily, one base point at a time. Built
+    # before H.order(), which then reads it, so H needs no second chain.
+    h_chain = H.chain(tuple(range(H.degree)))
     h_order = H.order()
     g_order = G.order()
     index, remainder = divmod(g_order, h_order)
@@ -259,9 +263,6 @@ def coset_action(action: LabeledAction, H: PermGroup) -> LabeledAction:
     if index > MAX_COSET_INDEX:
         raise ValueError(f"coset index too large: {index} > {MAX_COSET_INDEX}")
 
-    # A chain over the full point sequence makes the lex-least coset
-    # representative computable greedily, one base point at a time.
-    h_chain = build_chain(H.generators, H.degree, tuple(range(H.degree)))
     start = _min_coset_rep(h_chain, Permutation.identity(G.degree))
     targets: dict[tuple, list[tuple]] = {start.images: []}
     queue = [start]

@@ -10,10 +10,11 @@ from typing import Callable, Sequence
 
 from . import constructions as cons
 from .analysis import (QUASI_TRANSITIVE, ActionReport, QuasiVerdict,
-                       _pair_classes, _rows, analyze, verdict_from_orders)
+                       _is_diagonal_sum, _pair_classes, _rows, analyze,
+                       verdict_from_orders)
 from .analysis import quasi_verdict  # noqa: F401  perfbench traces it here
 from .constructions import LabeledAction
-from .group import PermGroup, build_chain
+from .group import PermGroup
 from .perm import Permutation
 
 
@@ -272,20 +273,14 @@ def orbital_table(entry: CatalogEntry, indices: Sequence[int]) -> OrbitalTable:
     One diagonal group G acts on the disjoint union of the actions, and the
     table is filled from the pair classes of G: a class of {a, b} with a in
     X_i and b in X_j gives |G_ab| to cell (i, j). Raises AssertionError
-    unless G is as large as each action's group (that is, unless the sum is
-    diagonal) and transitive on each X_i.
-
-    Each action's group is the image of G under projection to X_i, so its
-    order is at most |G|; its chain is built to stop there and not cached.
+    unless the sum is diagonal and G is transitive on each X_i.
     """
     actions = [entry.actions[i] for i in indices]
     G = cons.disjoint_sum(actions).group
     rows = _rows(G)
-    order = len(rows[0].transversal) * rows[0].stab_order
-    if any(build_chain(a.group.generators, a.degree, _order=order).order()
-           != order for a in actions):
+    if not _is_diagonal_sum(G, [a.degree for a in actions]):
         raise AssertionError(f"catalog entry {entry.name} is not diagonal: "
-                             f"its actions do not all have order {order}")
+                             f"its actions do not all have order {G.order()}")
     for row, action in zip(rows, actions):
         if len(row.transversal) != action.degree:
             raise AssertionError(f"catalog entry {entry.name}: "

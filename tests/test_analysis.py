@@ -130,6 +130,23 @@ def test_diagonal_sum_is_faithful():
     assert action_kernel(G, [0, 1, 2]).order() == 1
 
 
+def test_faithful_builds_the_image_chain_bounded_by_the_group_order(
+        monkeypatch):
+    # the image on a set is a quotient of G, so its build stops at |G|
+    build_chain = analysis.build_chain
+    bounds = []
+
+    def recording(*args, **kwargs):
+        bounds.append(kwargs.get("_order"))
+        return build_chain(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "build_chain", recording)
+    s3 = symmetric_group(3)
+    G = disjoint_sum([s3, action_on_k_subsets(s3, 2)]).group
+    assert is_faithful_on(G, [0, 1, 2]) and is_faithful_on(G, [3, 4, 5])
+    assert bounds == [6, 6]
+
+
 def test_kernel_requires_invariant_set():
     G = symmetric_group(4).group
     with pytest.raises(ValueError):
@@ -170,6 +187,17 @@ def test_frobenius_examples():
     assert is_frobenius(dihedral_group(5).group, range(5))
     assert not is_frobenius(cyclic_group(6).group, range(6))
     assert not is_frobenius(symmetric_group(4).group, range(4))
+
+
+@pytest.mark.parametrize("G, points", [
+    (PermGroup([Permutation.from_cycles(3, [(1, 2)])]), [0, 1, 2]),
+    (PermGroup([Permutation.identity(2)]), [0, 1]),
+], ids=["<(1 2)>-on-3", "trivial-on-2"])
+@pytest.mark.parametrize("classify", [is_two_transitive, is_three_halves,
+                                      is_frobenius, is_primitive])
+def test_classifiers_reject_an_intransitive_set(classify, G, points):
+    with pytest.raises(ValueError, match="not transitive"):
+        classify(G, points)
 
 
 def test_primitive_examples_and_oracle():

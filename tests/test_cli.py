@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -101,15 +102,37 @@ def test_construct_sum_needs_two_files(capsys):
 
 def test_construct_sum_rejects_non_diagonal(tmp_path, capsys):
     # two generating sets of AGL(1,5), paired shift-with-shift but x2 with
-    # x3, generate a subdirect product of order 100
-    first = tmp_path / "agl_a.gens"
-    first.write_text("degree 5\n(1 2 3 4 5)\n(2 3 5 4)\n")
-    second = tmp_path / "agl_b.gens"
-    second.write_text("degree 5\n(1 2 3 4 5)\n(2 4 5 3)\n")
-    code, out, err = run(capsys, "construct", "sum", str(first), str(second))
-    assert code == 2
-    assert out == ""
-    assert "not diagonal" in err
+    # x3, generate a subdirect product of order 100; S3 by a transposition
+    # and a 3-cycle, paired with its sign action on 2 points, is a sum of
+    # order 6 over a summand of order 2, in either order
+    texts = {"agl_a": "degree 5\n(1 2 3 4 5)\n(2 3 5 4)\n",
+             "agl_b": "degree 5\n(1 2 3 4 5)\n(2 4 5 3)\n",
+             "s3": "degree 3\n(1 2)\n(1 2 3)\n",
+             "sign": "degree 2\n(1 2)\n()\n"}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.gens").write_text(text)
+    for pair in (("agl_a", "agl_b"), ("s3", "sign"), ("sign", "s3")):
+        code, out, err = run(capsys, "construct", "sum",
+                             *(str(tmp_path / f"{name}.gens") for name in pair))
+        assert code == 2
+        assert out == ""
+        assert "not diagonal" in err
+
+
+def test_construct_sum_of_a_diagonal_pair(tmp_path, capsys):
+    # PSL2(8) on the projective line and on the 28 cosets of D18
+    paths = []
+    for action in ("projective", "cosets"):
+        code, out, _ = run(capsys, "construct", "psl2", "--f", "3",
+                           "--action", action)
+        assert code == 0
+        paths.append(tmp_path / f"{action}.gens")
+        paths[-1].write_text(out)
+    code, out, err = run(capsys, "construct", "sum", *map(str, paths))
+    assert (code, err) == (0, "")
+    assert out.startswith("degree 37\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "92043575cb56a691969c53e3edb8b65a2f4cbff1b1bff09c993b5e01899d344a")
 
 
 def test_verify_step4(capsys):

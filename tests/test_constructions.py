@@ -5,7 +5,7 @@ import random
 import pytest
 
 from oracles import brute_elements, brute_normalizer, brute_order
-from qtperm import verifier
+from qtperm import group, verifier
 from qtperm.analysis import is_two_transitive, subdegrees
 from qtperm.constructions import (LabeledAction, _min_coset_rep, a7_on_15,
                                   action_on_k_subsets, affine_frobenius,
@@ -220,6 +220,21 @@ def test_coset_action_point_stabilizer_is_subgroup():
     assert act.degree == 4
     stab = act.group.point_stabilizer(act.index_of(Permutation.identity(4)))
     assert stab.order() == H.order() == 6
+
+
+def test_coset_action_builds_one_chain_of_the_subgroup(monkeypatch):
+    base = symmetric_group(4)
+    base.group.order()
+    built = []
+
+    def recording(generators, degree, base_prefix=(), **kwargs):
+        built.append(tuple(base_prefix))
+        return build_chain(generators, degree, base_prefix, **kwargs)
+
+    monkeypatch.setattr(group, "build_chain", recording)
+    H = PermGroup([Permutation.from_cycles(4, [(0, 1)])], 4)
+    assert coset_action(base, H).degree == 12
+    assert built == [(0, 1, 2, 3)]
 
 
 def test_coset_action_rejects_non_subgroup():

@@ -46,6 +46,29 @@ def test_tracer_wraps_and_restores_every_binding():
     wrapped = {key for key, value in during.items() if before[key] is not value}
     assert ("qtperm.analysis", "analyze") in wrapped
     assert ("qtperm.verifier", "quasi_verdict") in wrapped
+    assert ("qtperm.analysis", "is_faithful_on") in wrapped
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def _faithful_spans(run):
+    spans = _load_spans()
+    with spans.Tracer() as tracer:
+        run()
+    return sum(1 for span in tracer.spans
+               if span[0] == "analysis.is_faithful_on")
+
+
+def test_diagonality_checks_are_traced_as_faithfulness(tmp_path, capsys):
+    # the sweep and ``construct sum`` reach is_faithful_on through the
+    # analysis binding, so their diagonality checks count in its span
+    entry = next(e for e in verifier.default_catalog(
+        verifier.SweepConfig(families=("psl",))) if e.name == "PSL2(8)")
+    assert _faithful_spans(
+        lambda: verifier.orbital_table(entry, (0, 1, 2))) == 3
+    path = tmp_path / "f5.gens"
+    path.write_text("degree 5\n(1 2 3 4 5)\n(2 3 5 4)\n")
+    assert _faithful_spans(
+        lambda: cli.main(["construct", "sum", str(path), str(path)])) == 2
+    assert capsys.readouterr().out.startswith("degree 10\n")

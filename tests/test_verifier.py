@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import (brute_core_free_subgroups, brute_elements,
                      brute_least_conjugate)
-from qtperm import verifier
+from qtperm import analysis, verifier
 from qtperm.analysis import (QUASI_TRANSITIVE, QuasiVerdict, analyze,
                              quasi_verdict)
 from qtperm.constructions import (LabeledAction, action_on_k_subsets,
@@ -202,14 +202,14 @@ def test_table_bounds_each_action_build_by_the_diagonal_order(
         monkeypatch, family, name):
     entry = next(e for e in default_catalog(SweepConfig(families=(family,)))
                  if e.name == name)
-    build_chain = verifier.build_chain
+    build_chain = analysis.build_chain
     bounds = []
 
     def recording(*args, **kwargs):
         bounds.append(kwargs.get("_order"))
         return build_chain(*args, **kwargs)
 
-    monkeypatch.setattr(verifier, "build_chain", recording)
+    monkeypatch.setattr(analysis, "build_chain", recording)
     indices = tuple(range(len(entry.actions)))
     orbital_table(entry, indices)
     order = disjoint_sum(entry.actions).group.order()
