@@ -31,25 +31,28 @@ class StabilizerChain:
     def transversal_sizes(self) -> tuple[int, ...]:
         return tuple(len(t) for t in self.transversals)
 
-    def sift_inverse(self, q: Permutation, start: int) -> tuple[Permutation, int]:
-        """Strip p = q^-1 from level ``start``, working on q throughout.
+    def sift(self, a: Permutation, b: Permutation,
+             start: int) -> tuple[Permutation, int]:
+        """Strip r = a b^-1 from level ``start``, working on b throughout.
 
-        Stripping p by u (p -> p u^-1) is q -> u q, and p(b) is the point q
-        maps to b, so no level inverts anything.  Returns the inverse of p's
-        residue and the level reached.
+        r(base[i]) is the point b maps to a(base[i]), and stripping r by a
+        transversal element u (r -> r u^-1) is b -> u b, so no level inverts
+        anything.  Returns the final b and the level reached; r sifts to 1
+        exactly when that b equals a.
         """
         base, transversals = self.base, self.transversals
         for i in range(start, len(base)):
-            u = transversals[i].get(q.images.index(base[i]))
+            u = transversals[i].get(b.images.index(a.images[base[i]]))
             if u is None:
-                return q, i
-            q = u * q
-        return q, len(base)
+                return b, i
+            b = u * b
+        return b, len(base)
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        return self.sift_inverse(p.inverse(), 0)[0].is_identity()
+        b, _ = self.sift(p, Permutation.identity(self.degree), 0)
+        return b.images == p.images
 
     def stabilizer_order_from(self, level: int) -> int:
         """Order of the pointwise stabilizer of ``base[:level]``."""
@@ -165,11 +168,15 @@ def build_chain(
     transversals: list[dict[int, Permutation]] = [dict() for _ in base]
     chain = StabilizerChain(degree, base, transversals, strong)
 
+    # each level's Schreier tree: a Schreier generator along a tree edge is 1
+    trees: list[dict[int, tuple[int, Permutation] | None]] = [{} for _ in base]
+
     def compute_transversal(i: int) -> None:
+        tree = schreier_tree(strong[i], chain.base[i])
         trans: dict[int, Permutation] = {}
-        for b, edge in schreier_tree(strong[i], chain.base[i]).items():
+        for b, edge in tree.items():
             trans[b] = identity if edge is None else trans[edge[0]] * edge[1]
-        transversals[i] = trans
+        trees[i], transversals[i] = tree, trans
 
     for i in range(len(base)):
         compute_transversal(i)
@@ -178,24 +185,26 @@ def build_chain(
         """The first Schreier generator of level i that does not sift to 1.
 
         Returns its residue and the level the sift reached, or None when
-        level i is complete.  The generator s = u_gamma g u_delta^-1 is
-        formed and sifted as s^-1 = u_delta g^-1 u_gamma^-1, which needs one
-        inverse per strong generator and per gamma.
+        level i is complete.  The generator s = u_gamma g u_delta^-1 is 1
+        when (gamma, g) is the tree edge that reached delta.  Otherwise
+        a = u_gamma g is sifted as s = a u_delta^-1 by accumulating the
+        transversal product on the right, so only a residue that becomes a
+        strong generator is inverted.
         """
-        trans, gens = transversals[i], strong[i]
-        inverses = [g.inverse() for g in gens]
+        trans, tree, gens = transversals[i], trees[i], strong[i]
         for gamma in sorted(trans):
             u = trans[gamma]
-            u_inverse = None
-            for g, g_inverse in zip(gens, inverses):
-                t = trans[g(gamma)] * g_inverse
-                if t == u:
+            for g in gens:
+                delta = g(gamma)
+                if tree[delta] == (gamma, g):
                     continue
-                if u_inverse is None:
-                    u_inverse = u.inverse()
-                residue, j = chain.sift_inverse(t * u_inverse, i + 1)
-                if not residue.is_identity():
-                    return residue.inverse(), j
+                a = u * g
+                b = trans[delta]
+                if a.images == b.images:
+                    continue
+                b, j = chain.sift(a, b, i + 1)
+                if a.images != b.images:
+                    return a * b.inverse(), j
         return None
 
     # Work from the deepest level up; the invariant is that all strictly
@@ -213,6 +222,7 @@ def build_chain(
             chain.base += (residue.first_moved_point(),)
             strong.append([])
             transversals.append(dict())
+            trees.append(dict())
         for level in range(i + 1, j + 1):
             strong[level].append(residue)
             compute_transversal(level)

@@ -2,8 +2,9 @@
 
 ``PermGroup.chain`` hands the order of a cached chain to ``build_chain``,
 which then stops once its transversal lengths multiply to it, and ``contains``
-sifts the inverse of its argument. Both are checked here against a fresh
-``build_chain`` and against membership in the brute-force closure.
+sifts its argument forward by base images without inverting it. Both are
+checked here against a fresh ``build_chain`` and against membership in the
+brute-force closure.
 """
 
 import random

@@ -1,11 +1,14 @@
+import hashlib
+
 import pytest
 
 from oracles import brute_elements, brute_orbit, brute_order
 from qtperm import group
-from qtperm.constructions import (alternating_group, psl2, psl2_cosets,
-                                  symmetric_group)
+from qtperm.constructions import (alternating_group, pgammal2_cosets, psl2,
+                                  psl2_cosets, symmetric_group)
 from qtperm.group import PermGroup, build_chain
 from qtperm.perm import Permutation
+from qtperm.verifier import SweepConfig, default_catalog
 
 
 def s4():
@@ -158,3 +161,55 @@ def test_point_stabilizer_elements_come_from_its_own_chain():
     stab = G.point_stabilizer(3)
     fresh = PermGroup(stab.generators, 5)
     assert list(stab.elements()) == list(fresh.elements())
+
+
+def _chain_record(chain):
+    return repr((chain.base,
+                 [[t[gamma].images for gamma in sorted(t)]
+                  for t in chain.transversals],
+                 [[g.images for g in level] for level in chain.strong_gens]))
+
+
+def test_catalog_chains_are_pinned():
+    # elements() order, the dihedral search and so the coset labels read
+    # these chains; the digest pins every base, transversal element and
+    # strong generator, level by level
+    actions = [a for entry in default_catalog(SweepConfig(include_q32=True))
+               for a in entry.actions]
+    actions += [psl2_cosets(5), pgammal2_cosets(5)]
+    digest = hashlib.sha256()
+    count = 0
+    for action in actions:
+        n = action.degree
+        G = PermGroup(action.group.generators, n)
+        for prefix in ((), (n - 1,)):
+            digest.update(_chain_record(G.chain(prefix)).encode())
+            count += 1
+    assert count == 216
+    assert digest.hexdigest() == (
+        "02caa86c6ac021b9fe80b2a4ff1a2dfbd725a00e6ea6f4a538eae1dfa63f83c2")
+
+
+@pytest.mark.parametrize("build", [psl2_cosets, pgammal2_cosets],
+                         ids=["psl2_cosets(5)", "pgammal2_cosets(5)"])
+def test_only_new_strong_generators_are_inverted(monkeypatch, build):
+    action = build(5)
+    gens, n = action.group.generators, action.degree
+    calls = []
+    original = Permutation.inverse
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Permutation, "inverse", counted)
+    chain = build_chain(gens, n, (0,))
+    added = ({g.images for level in chain.strong_gens for g in level}
+             - {g.images for g in gens})
+    assert 0 < len(calls) <= len(added)
+    calls.clear()
+    t = Permutation.from_cycles(n, [(0, 1)])
+    members = [gens[0], gens[0] * gens[-1], gens[-1] * gens[0] * gens[0]]
+    assert all(chain.contains(g) for g in members)
+    assert not any(chain.contains(g * t) for g in members)
+    assert calls == []

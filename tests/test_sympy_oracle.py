@@ -5,7 +5,11 @@ oracles cannot, such as primitivity above degree 12, and guards the
 one-point-per-suborbit shortcut in ``is_primitive``.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtperm.analysis import is_primitive, orbits, subdegrees
 from qtperm.constructions import (action_on_k_subsets, affine_frobenius,
@@ -14,6 +18,7 @@ from qtperm.constructions import (action_on_k_subsets, affine_frobenius,
                                   pgammal2_cosets, psl2_cosets, regular_action,
                                   symmetric_group)
 from qtperm.group import PermGroup
+from qtperm.perm import Permutation
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
@@ -84,3 +89,65 @@ def test_orbits_subdegrees_and_primitivity_match_sympy(action):
         restricted = _sympy_group(
             [index[g(p)] for p in orbit] for g in G.generators)
         assert is_primitive(G, orbit) == restricted.is_primitive()
+
+
+def _relabel(images, pi):
+    """The permutation pi^-1 x pi: x's images with every point renamed by pi."""
+    out = [0] * len(images)
+    for x, y in enumerate(images):
+        out[pi[x]] = pi[y]
+    return out
+
+
+@st.composite
+def large_generator_sets(draw):
+    """Generator sets of degree 13-24, above the brute-force closure cap.
+
+    Besides plain random sets (mostly S_n or A_n), they hold disjoint
+    unions of random permutations on 2-3 blocks (intransitive) and
+    permutations preserving a block system (imprimitive), relabelled at
+    random, so that residues land on several levels of the chain.
+    """
+    kind = draw(st.sampled_from(["random", "intransitive", "imprimitive"]))
+    count = draw(st.integers(1, 3))
+    if kind == "random":
+        n = draw(st.integers(13, 24))
+        return n, [list(draw(st.permutations(range(n)))) for _ in range(count)]
+    if kind == "intransitive":
+        n = draw(st.integers(13, 24))
+        cuts = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2,
+                             unique=True))
+        bounds = [0, *sorted(cuts), n]
+        blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        gens = [[y for block in blocks for y in draw(st.permutations(block))]
+                for _ in range(count)]
+    else:
+        n = draw(st.sampled_from([14, 15, 16, 18, 20, 21, 22, 24]))
+        k = draw(st.sampled_from([d for d in range(2, n) if n % d == 0]))
+        m = n // k
+        gens = []
+        for _ in range(count):
+            sigma = draw(st.permutations(range(m)))
+            gens.append([sigma[b] * k + x for b in range(m)
+                         for x in draw(st.permutations(range(k)))])
+    pi = draw(st.permutations(range(n)))
+    return n, [_relabel(images, pi) for images in gens]
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_generator_sets(), st.integers(0, 2**32 - 1))
+def test_order_and_membership_match_sympy_on_random_generator_sets(case, seed):
+    n, gens = case
+    G = PermGroup([Permutation(images) for images in gens], n)
+    S = _sympy_group(gens)
+    assert G.order() == S.order()
+    rng = random.Random(seed)
+    for _ in range(6):
+        p = Permutation.identity(n)
+        for _ in range(rng.randint(1, 12)):
+            p = p * rng.choice(G.generators)
+        a, b = rng.sample(range(n), 2)
+        for q in (p, p * Permutation.from_cycles(n, [(a, b)])):
+            assert G.contains(q) == S.contains(
+                combinatorics.Permutation(list(q.images)))
+        assert G.contains(p)
