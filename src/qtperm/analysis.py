@@ -173,18 +173,27 @@ def action_kernel(G: PermGroup, orbit: Iterable[int]) -> PermGroup:
 
 
 def is_faithful_on(G: PermGroup, orbit: Iterable[int]) -> bool:
-    """Whether G's image on an invariant set is as large as G.
+    """Whether G acts faithfully on an invariant set X.
 
-    The image is a quotient of G, so its chain is built to stop at |G|.
+    The kernel K of G on X fixes the least point a of X, so K lies in G_a
+    and is the kernel of G_a on X: G is faithful on X exactly when G_a's
+    image on X has order |G_a|. G_a and |G_a| come from G's chain for
+    prefix (a,), and the image is a quotient of G_a, so its chain is built
+    to stop at |G_a|. No chain of G's own image is built.
     """
     pts = _check_invariant(G, orbit)
     if len(pts) == G.degree:
         return True
+    if not pts:
+        return G.order() == 1
+    chain = G.chain((pts[0],))
+    order = chain.stabilizer_order_from(1)
+    if order == 1:
+        return True
     index = {p: i for i, p in enumerate(pts)}
     gens = [Permutation._unchecked(tuple(
         map(index.__getitem__, map(g.images.__getitem__, pts))))
-        for g in G.generators]
-    order = G.order()
+        for g in chain.generators_fixing(1)]
     return build_chain(gens, len(pts), _order=order).order() == order
 
 
@@ -192,7 +201,8 @@ def _is_diagonal_sum(G: PermGroup, degrees: Iterable[int]) -> bool:
     """Whether a disjoint sum G, on blocks of ``degrees`` points, is diagonal.
 
     G maps onto the group of each summand, so it is diagonal exactly when
-    it is faithful on every summand.
+    it is faithful on every summand. Each check reads G's chain for the
+    summand's first point, which building the orbital table's rows caches.
     """
     start = 0
     for degree in degrees:

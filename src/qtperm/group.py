@@ -170,13 +170,15 @@ def build_chain(
 
     # each level's Schreier tree: a Schreier generator along a tree edge is 1
     trees: list[dict[int, tuple[int, Permutation] | None]] = [{} for _ in base]
+    # each level's (gamma index, generator index) to resume its scan from
+    cursors: list[tuple[int, int]] = [(0, 0) for _ in base]
 
     def compute_transversal(i: int) -> None:
         tree = schreier_tree(strong[i], chain.base[i])
         trans: dict[int, Permutation] = {}
         for b, edge in tree.items():
             trans[b] = identity if edge is None else trans[edge[0]] * edge[1]
-        trees[i], transversals[i] = tree, trans
+        trees[i], transversals[i], cursors[i] = tree, trans, (0, 0)
 
     for i in range(len(base)):
         compute_transversal(i)
@@ -190,11 +192,21 @@ def build_chain(
         a = u_gamma g is sifted as s = a u_delta^-1 by accumulating the
         transversal product on the right, so only a residue that becomes a
         strong generator is inverted.
+
+        The scan resumes after the pair (gamma, g) that gave level i's last
+        residue.  Deeper levels only gain elements until level i changes,
+        so every pair before it still sifts to 1, and so does that pair,
+        whose residue has joined them; the residues found are the same as
+        those of a scan from the least gamma.
         """
         trans, tree, gens = transversals[i], trees[i], strong[i]
-        for gamma in sorted(trans):
+        gammas = sorted(trans)
+        first, start = cursors[i]
+        for n in range(first, len(gammas)):
+            gamma = gammas[n]
             u = trans[gamma]
-            for g in gens:
+            for k in range(start, len(gens)):
+                g = gens[k]
                 delta = g(gamma)
                 if tree[delta] == (gamma, g):
                     continue
@@ -204,7 +216,9 @@ def build_chain(
                     continue
                 b, j = chain.sift(a, b, i + 1)
                 if a.images != b.images:
+                    cursors[i] = (n, k + 1)
                     return a * b.inverse(), j
+            start = 0
         return None
 
     # Work from the deepest level up; the invariant is that all strictly
@@ -223,6 +237,7 @@ def build_chain(
             strong.append([])
             transversals.append(dict())
             trees.append(dict())
+            cursors.append((0, 0))
         for level in range(i + 1, j + 1):
             strong[level].append(residue)
             compute_transversal(level)

@@ -213,3 +213,21 @@ def test_only_new_strong_generators_are_inverted(monkeypatch, build):
     assert all(chain.contains(g) for g in members)
     assert not any(chain.contains(g * t) for g in members)
     assert calls == []
+
+
+def test_level_scans_resume_after_the_last_residue(monkeypatch):
+    # a scan that climbs back to an unchanged level resumes after the
+    # Schreier generator that gave its last residue instead of sifting the
+    # earlier ones again; a scan from the least gamma each time takes 557
+    action = psl2_cosets(5)
+    sifts = []
+    original = group.StabilizerChain.sift
+
+    def counted(self, a, b, start):
+        sifts.append(start)
+        return original(self, a, b, start)
+
+    monkeypatch.setattr(group.StabilizerChain, "sift", counted)
+    chain = build_chain(action.group.generators, action.degree, (0,))
+    assert chain.order() == 32 * (32 ** 2 - 1)
+    assert len(sifts) == 553

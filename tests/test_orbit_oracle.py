@@ -1,17 +1,21 @@
 """Primitivity and faithfulness on random small groups, against brute force.
 
 ``is_primitive`` reads the least block through alpha and beta as the orbit
-of alpha under <G_alpha, u> with u(alpha) = beta; ``is_faithful_on`` builds
-the image's chain to stop at |G|. Both are checked here against exhaustive
-oracles: every block system of an orbit, and the distinct restrictions of
-every group element to a set.
+of alpha under <G_alpha, u> with u(alpha) = beta. ``is_faithful_on`` decides
+faithfulness on an invariant set X by the image of G_a on X, for a the least
+point of X: the kernel on X lies in G_a, so G is faithful on X exactly when
+that image has order |G_a|, and its chain is built to stop there. Both are
+checked here against exhaustive oracles: every block system of an orbit,
+and the distinct restrictions of every group element to a set.
 """
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_elements, brute_is_primitive
 from qtperm.analysis import analyze, is_faithful_on, is_primitive, orbits
+from qtperm.constructions import disjoint_sum, regular_action, symmetric_group
 from qtperm.group import PermGroup
 from qtperm.perm import Permutation
 
@@ -67,6 +71,11 @@ def test_primitive_matches_every_block_system(G):
         assert flags[orbit] == expected
 
 
+def _brute_faithful(elements, points):
+    image = {tuple(g(p) for p in points) for g in elements}
+    return len(image) == len(elements)
+
+
 @SETTINGS
 @given(structured_groups(), st.data())
 def test_faithful_matches_image_size(G, data):
@@ -74,5 +83,56 @@ def test_faithful_matches_image_size(G, data):
     found = orbits(G).orbits
     chosen = data.draw(st.lists(st.sampled_from(found), unique=True))
     for points in [*found, sorted(p for o in chosen for p in o)]:
-        image = {tuple(g(p) for p in points) for g in elements}
-        assert is_faithful_on(G, points) == (len(image) == len(elements))
+        assert is_faithful_on(G, points) == _brute_faithful(elements, points)
+
+
+# Sets X of two or three orbits, none the whole domain and none holding
+# point 0. With x = (0 1)(2 3), y = (2 3)(4 5) and z = (4 5)(6 7) the group
+# is C2^3, faithful on {2..7} though each of its orbits alone has a kernel;
+# with x = (0 1) instead, x is the kernel on {2..7}. The regular C2 x C2 on
+# {0..3} gives point 0 a trivial stabilizer, yet b = (0 2)(1 3) is the
+# kernel on {4..7}, so a test that read G_0 instead of G_a would err.
+FAITHFUL_CASES = [
+    ("two-orbit-kernels-meet-trivially", 6,
+     [[(0, 1), (2, 3)], [(0, 1), (4, 5)]], [2, 3, 4, 5], True),
+    ("two-orbit-kernel-moves-0", 6,
+     [[(0, 1)], [(2, 3), (4, 5)]], [2, 3, 4, 5], False),
+    ("two-orbit-kernel-beside-regular", 8,
+     [[(0, 1), (2, 3), (4, 5), (6, 7)], [(0, 2), (1, 3)]], [4, 5, 6, 7],
+     False),
+    ("three-orbit-kernels-meet-trivially", 8,
+     [[(0, 1), (2, 3)], [(2, 3), (4, 5)], [(4, 5), (6, 7)]],
+     [2, 3, 4, 5, 6, 7], True),
+    ("three-orbit-kernel-moves-0", 8,
+     [[(0, 1)], [(2, 3), (4, 5)], [(4, 5), (6, 7)]], [2, 3, 4, 5, 6, 7],
+     False),
+    ("empty-set-trivial-group", 3, [[]], [], True),
+    ("empty-set-nontrivial-group", 3, [[(0, 1, 2)]], [], False),
+]
+
+
+@pytest.mark.parametrize("degree, cycles, points, expected",
+                         [case[1:] for case in FAITHFUL_CASES],
+                         ids=[case[0] for case in FAITHFUL_CASES])
+def test_faithful_on_unions_of_orbits(degree, cycles, points, expected):
+    G = PermGroup([Permutation.from_cycles(degree, c) for c in cycles],
+                  degree)
+    elements = brute_elements(G.generators, degree)
+    assert _brute_faithful(elements, points) == expected
+    assert is_faithful_on(G, points) == expected
+    # on each orbit of X alone the kernel is nontrivial, and X is not the
+    # whole domain, so the answer comes from G_a's image on X
+    for orbit in orbits(G).orbits:
+        if set(orbit) <= set(points):
+            assert not is_faithful_on(G, orbit)
+
+
+def test_faithful_on_a_regular_summand():
+    # |G_a| = 1 on the regular summand, so no kernel can hide there
+    s3 = symmetric_group(3)
+    G = disjoint_sum([s3, regular_action(s3)]).group
+    regular = range(3, 9)
+    assert G.chain((3,)).stabilizer_order_from(1) == 1
+    elements = brute_elements(G.generators, G.degree)
+    for points in (range(3), regular):
+        assert is_faithful_on(G, points) and _brute_faithful(elements, points)

@@ -1,8 +1,9 @@
 """Differential checks against sympy's permutation groups.
 
 sympy is a second, independent engine. It reaches actions the brute-force
-oracles cannot, such as primitivity above degree 12, and guards the
-one-point-per-suborbit shortcut in ``is_primitive``.
+oracles cannot, such as primitivity above degree 12 and faithfulness above
+|G| = 10^4, and guards the one-point-per-suborbit shortcut in
+``is_primitive`` and the point-stabilizer test in ``is_faithful_on``.
 """
 
 import random
@@ -11,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtperm.analysis import is_primitive, orbits, subdegrees
+from qtperm.analysis import is_faithful_on, is_primitive, orbits, subdegrees
 from qtperm.constructions import (action_on_k_subsets, affine_frobenius,
                                   alternating_group, coset_action,
                                   cyclic_group, dihedral_group, disjoint_sum,
-                                  pgammal2_cosets, psl2_cosets, regular_action,
-                                  symmetric_group)
+                                  pgammal2_cosets, psl2, psl2_cosets,
+                                  regular_action, symmetric_group)
 from qtperm.group import PermGroup
 from qtperm.perm import Permutation
 
@@ -89,6 +90,36 @@ def test_orbits_subdegrees_and_primitivity_match_sympy(action):
         restricted = _sympy_group(
             [index[g(p)] for p in orbit] for g in G.generators)
         assert is_primitive(G, orbit) == restricted.is_primitive()
+
+
+def _psl2_32_times_c3():
+    """PSL2(32) on 33 points times C3 on 3 more: order 98,208."""
+    projective = psl2(5)
+    n = projective.degree
+    gens = [Permutation(g.images + (n, n + 1, n + 2))
+            for g in projective.group.generators]
+    gens.append(Permutation(tuple(range(n)) + (n + 1, n + 2, n)))
+    return PermGroup(gens, n + 3), n
+
+
+@pytest.mark.parametrize("case", ["diagonal", "direct"])
+def test_faithfulness_above_the_brute_force_cap_matches_sympy(case):
+    # G is faithful on a summand exactly when its image there is as large
+    if case == "diagonal":
+        summands = [psl2(5), psl2_cosets(5)]
+        G = disjoint_sum(summands).group
+        cut = summands[0].degree
+    else:
+        G, cut = _psl2_32_times_c3()
+        assert G.order() == 98_208
+    S = _sympy_group(g.images for g in G.generators)
+    assert G.order() == S.order()
+    for points in (range(cut), range(cut, G.degree)):
+        start = points[0]
+        image = _sympy_group([g(p) - start for p in points]
+                             for g in G.generators)
+        assert is_faithful_on(G, points) == (image.order() == S.order())
+        assert is_faithful_on(G, points) == (case == "diagonal")
 
 
 def _relabel(images, pi):

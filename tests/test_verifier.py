@@ -181,8 +181,8 @@ def test_table_rejects_non_diagonal_entry():
     with pytest.raises(AssertionError, match="two-AGL"):
         orbital_table(CatalogEntry("two-AGL", actions), (0, 1))
     # S3 paired with its own sign action: the diagonal group has order 6,
-    # the sign action's group order 2, so that action's bounded build never
-    # reaches 6 and runs to the end; in either order the entry is rejected
+    # and the stabilizer of a sign point is A3, whose image on the sign
+    # action has order 1, not 3; in either order the entry is rejected
     s3 = symmetric_group(3)
     sign = LabeledAction(PermGroup([Permutation.from_cycles(2, [(0, 1)]),
                                     Permutation.identity(2)]),
@@ -211,9 +211,11 @@ def test_table_bounds_each_action_build_by_the_diagonal_order(
 
     monkeypatch.setattr(analysis, "build_chain", recording)
     indices = tuple(range(len(entry.actions)))
-    orbital_table(entry, indices)
-    order = disjoint_sum(entry.actions).group.order()
-    assert bounds == [order] * len(indices)
+    table = orbital_table(entry, indices)
+    # each summand's image of G_a is built to stop at its row's |G_a|, and
+    # a regular summand (|G_a| = 1) needs no build at all
+    assert bounds == [table.stab_orders[i] for i in indices
+                      if table.stab_orders[i] > 1]
 
 
 def test_quasi_transitive_table_verdict_is_checked_by_analyze(monkeypatch):
