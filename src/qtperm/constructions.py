@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .gf2 import GF2Field
 from .group import PermGroup
@@ -231,16 +232,35 @@ def pgammal2(f: int) -> LabeledAction:
                          _projective_points(field))
 
 
-def _min_coset_rep(chain, g: Permutation) -> Permutation:
-    """Lexicographically least element of H*g, for a chain with base 0..n-1."""
-    cur = g
-    for i, b in enumerate(chain.base):
-        trans = chain.transversals[i]
-        if len(trans) == 1:
-            continue
-        best = min(trans, key=cur.images.__getitem__)
-        cur = trans[best] * cur
-    return cur
+def _compose_with(images: tuple) -> Callable[[tuple], tuple]:
+    """The map from q's images to those of p * q, for p with ``images``."""
+    if len(images) < 2:
+        # itemgetter returns a bare item for one index and needs at least one
+        return lambda other: tuple(other[x] for x in images)
+    return itemgetter(*images)
+
+
+def _coset_levels(chain) -> list[tuple[Callable, dict[int, Callable]]]:
+    """The nontrivial levels of a chain with base 0..n-1, for ``_min_coset_rep``.
+
+    Each is a getter of images at the level's basic orbit, and the map from
+    each orbit point gamma to the product on the left by u_gamma.
+    """
+    return [(itemgetter(*trans),
+             {gamma: _compose_with(u.images) for gamma, u in trans.items()})
+            for trans in chain.transversals if len(trans) > 1]
+
+
+def _min_coset_rep(levels, images: tuple) -> tuple:
+    """Images of the lexicographically least element of H*g, g given by images.
+
+    ``levels`` come from ``_coset_levels`` of H's chain with base 0..n-1.
+    The elements of level i fix 0..i-1, so the u_gamma whose gamma has the
+    least image under the current g fixes image i greedily, and g -> u*g.
+    """
+    for at_orbit, times_u in levels:
+        images = times_u[images.index(min(at_orbit(images)))](images)
+    return images
 
 
 def coset_action(action: LabeledAction, H: PermGroup) -> LabeledAction:
@@ -263,16 +283,20 @@ def coset_action(action: LabeledAction, H: PermGroup) -> LabeledAction:
     if index > MAX_COSET_INDEX:
         raise ValueError(f"coset index too large: {index} > {MAX_COSET_INDEX}")
 
-    start = _min_coset_rep(h_chain, Permutation.identity(G.degree))
-    targets: dict[tuple, list[tuple]] = {start.images: []}
+    # breadth-first over the cosets, each keyed by its least element's images
+    levels = _coset_levels(h_chain)
+    gen_images = [s.images for s in G.generators]
+    start = _min_coset_rep(levels, Permutation.identity(G.degree).images)
+    targets: dict[tuple, list[tuple]] = {start: []}
     queue = [start]
     for r in queue:
-        for s in G.generators:
-            img = _min_coset_rep(h_chain, r * s)
-            if img.images not in targets:
-                targets[img.images] = []
+        times_r, row = _compose_with(r), targets[r]
+        for s in gen_images:
+            img = _min_coset_rep(levels, times_r(s))
+            if img not in targets:
+                targets[img] = []
                 queue.append(img)
-            targets[r.images].append(img.images)
+            row.append(img)
     if len(targets) != index:
         raise AssertionError("coset enumeration does not match the index")
     ordered = sorted(targets)
@@ -298,6 +322,24 @@ def _torus_power_map(c: Permutation, m: int) -> Permutation:
     return Permutation(tuple(images))
 
 
+def _first_element_of_order(chain, order: int) -> Permutation:
+    """The first element of ``order`` in ``chain.elements()`` order.
+
+    Only for an order that no element fixing the first base point has: the
+    block of those elements, the stabilizer of that point, is never formed.
+    """
+    trans = chain.transversals[0] if chain.base else {}
+    for gamma in sorted(trans):
+        if gamma == chain.base[0]:
+            continue
+        u = trans[gamma]
+        for s in chain.elements(1):
+            g = s * u
+            if g.order() == order:
+                return g
+    raise AssertionError(f"no element of order {order} found")
+
+
 def dihedral_2q_plus_2_subgroup(action: LabeledAction) -> PermGroup:
     """Dihedral subgroup of order 2(q+1) inside PSL2(q) on the projective line.
 
@@ -307,15 +349,15 @@ def dihedral_2q_plus_2_subgroup(action: LabeledAction) -> PermGroup:
     points, so its normalizer D has order 2(q+1) and each point is fixed by
     exactly one involution of D; the one fixing 0 inverts c, so it is j.
     Every involution inverting c lies in D, so <c, j> is that D.
+
+    The enumeration runs block by block, one block per point gamma of the
+    first basic orbit: s * u_gamma for s in the stabilizer of the first
+    base point b.  The block of b is that stabilizer, and c fixes no point,
+    so that block is skipped without forming its elements.
     """
     q = action.degree - 1
-    cyc = None
-    for g in action.group.elements():
-        if g.order() == q + 1:
-            cyc = g
-            break
-    if cyc is None:
-        raise AssertionError("no element of order q+1 found")
+    chain = action.group.chain()
+    cyc = _first_element_of_order(chain, q + 1)
     j = _torus_power_map(cyc, -1)
     if not action.group.contains(j) or j * cyc * j != cyc.inverse():
         raise AssertionError("no inverting involution found")

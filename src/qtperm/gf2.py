@@ -4,8 +4,12 @@ from __future__ import annotations
 
 # Fixed moduli keep all downstream permutations bit-stable across runs.
 IRREDUCIBLE = {
-    3: 0b1011,    # x^3 + x + 1
-    5: 0b100101,  # x^5 + x^2 + 1
+    2: 0b111,         # x^2 + x + 1
+    3: 0b1011,        # x^3 + x + 1
+    4: 0b10011,       # x^4 + x + 1
+    5: 0b100101,      # x^5 + x^2 + 1
+    6: 0b1000011,     # x^6 + x + 1
+    7: 0b10000011,    # x^7 + x + 1
 }
 
 
@@ -14,7 +18,8 @@ class GF2Field:
 
     def __init__(self, f: int):
         if f not in IRREDUCIBLE:
-            raise ValueError(f"unsupported extension degree f={f}; shipped: 3, 5")
+            raise ValueError(f"unsupported extension degree f={f}; shipped: "
+                             + ", ".join(map(str, sorted(IRREDUCIBLE))))
         self.f = f
         self.q = 1 << f
         self.modulus = IRREDUCIBLE[f]

@@ -63,8 +63,15 @@ class StabilizerChain:
             return []
         return list(self.strong_gens[level])
 
-    def elements(self) -> Iterator[Permutation]:
-        """All group elements in a deterministic chain-enumeration order."""
+    def elements(self, level: int = 0) -> Iterator[Permutation]:
+        """The elements of the pointwise stabilizer of ``base[:level]``.
+
+        They come in a deterministic chain-enumeration order: s * u for u
+        in level ``level``'s transversal by ascending point, and s in the
+        stabilizer of one more base point, enumerated the same way.
+        """
+        if not 0 <= level <= len(self.base):
+            raise ValueError(f"level {level} out of range")
 
         def rec(i):
             if i == len(self.base):
@@ -75,7 +82,7 @@ class StabilizerChain:
                 for s in rec(i + 1):
                     yield s * u
 
-        return rec(0)
+        return rec(level)
 
 
 def schreier_tree(

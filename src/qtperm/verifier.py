@@ -131,8 +131,14 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A group's actions, and the group's order in closed form.
+
+    ``orbital_table`` checks ``order`` against the diagonal group it builds.
+    """
+
     name: str
     actions: tuple[LabeledAction, ...]
+    order: int
 
 
 @dataclass(frozen=True)
@@ -170,25 +176,27 @@ def _dihedral_stabilizers(gon: LabeledAction) -> list[PermGroup]:
 def _symmetric_family() -> list[CatalogEntry]:
     entries = []
     for n in range(3, 8):
-        for natural in (cons.symmetric_group(n), cons.alternating_group(n)):
+        for natural, order in ((cons.symmetric_group(n), math.factorial(n)),
+                               (cons.alternating_group(n),
+                                math.factorial(n) // 2)):
             acts = [natural]
             for k in range(2, n // 2 + 1):
                 sub = cons.action_on_k_subsets(natural, k)
                 if sub.degree <= 120:
                     acts.append(sub)
-            if natural.group.order() <= 120:
+            if order <= 120:
                 acts.append(cons.regular_action(natural))
             if natural.label == "A7-natural":
                 acts.append(cons.a7_on_15(natural))
             entries.append(CatalogEntry(natural.label.replace("-natural", ""),
-                                        tuple(acts)))
+                                        tuple(acts), order))
     return entries
 
 
 def _cyclic_family() -> list[CatalogEntry]:
     # proper subgroups of a cyclic group are normal, so the regular action
     # is the only faithful transitive one
-    return [CatalogEntry(f"C{n}", (cons.cyclic_group(n),))
+    return [CatalogEntry(f"C{n}", (cons.cyclic_group(n),), n)
             for n in range(2, 21)]
 
 
@@ -197,7 +205,8 @@ def _dihedral_family() -> list[CatalogEntry]:
     for n in range(3, 21):
         gon = cons.dihedral_group(n)
         entries.append(CatalogEntry(f"D{n}", tuple(
-            cons.coset_action(gon, H) for H in _dihedral_stabilizers(gon))))
+            cons.coset_action(gon, H) for H in _dihedral_stabilizers(gon)),
+            2 * n))
     return entries
 
 
@@ -206,20 +215,29 @@ def _affine_family() -> list[CatalogEntry]:
     for p in (3, 5, 7):
         natural = cons.affine_frobenius(p)
         entries.append(CatalogEntry(
-            f"AGL(1,{p})", (natural, cons.regular_action(natural))))
+            f"AGL(1,{p})", (natural, cons.regular_action(natural)),
+            p * (p - 1)))
     return entries
+
+
+def _psl2_order(f: int) -> int:
+    """|PSL2(q)| = q(q^2 - 1) for q = 2^f."""
+    q = 1 << f
+    return q * (q * q - 1)
 
 
 def _psl_family(include_q32: bool) -> list[CatalogEntry]:
     psl8 = cons.psl2(3)
     entries = [
         CatalogEntry("PSL2(8)", (psl8, cons.psl2_cosets(3),
-                                 cons.regular_action(psl8))),
-        CatalogEntry("PGammaL2(8)", (cons.pgammal2(3), cons.pgammal2_cosets(3))),
+                                 cons.regular_action(psl8)), _psl2_order(3)),
+        CatalogEntry("PGammaL2(8)", (cons.pgammal2(3), cons.pgammal2_cosets(3)),
+                     _psl2_order(3) * 3),
     ]
     if include_q32:
         entries.append(CatalogEntry("PSL2(32)", (cons.psl2(5),
-                                                 cons.psl2_cosets(5))))
+                                                 cons.psl2_cosets(5)),
+                                    _psl2_order(5)))
     return entries
 
 
@@ -273,7 +291,8 @@ def orbital_table(entry: CatalogEntry, indices: Sequence[int]) -> OrbitalTable:
     One diagonal group G acts on the disjoint union of the actions, and the
     table is filled from the pair classes of G: a class of {a, b} with a in
     X_i and b in X_j gives |G_ab| to cell (i, j). Raises AssertionError
-    unless the sum is diagonal and G is transitive on each X_i.
+    unless the sum is diagonal, G is transitive on each X_i and |G| is the
+    entry's closed-form order.
     """
     actions = [entry.actions[i] for i in indices]
     G = cons.disjoint_sum(actions).group
@@ -285,6 +304,10 @@ def orbital_table(entry: CatalogEntry, indices: Sequence[int]) -> OrbitalTable:
         if len(row.transversal) != action.degree:
             raise AssertionError(f"catalog entry {entry.name}: "
                                  f"{action.label} is not transitive")
+    order = rows[0].stab_order * len(rows[0].transversal)
+    if order != entry.order:
+        raise AssertionError(f"catalog entry {entry.name}: the diagonal group "
+                             f"has order {order}, not {entry.order}")
     block_of = [i for i, a in zip(indices, actions) for _ in range(a.degree)]
     cells: dict[tuple[int, int], set[int]] = {
         (i, j): set() for k, i in enumerate(indices) for j in indices[k:]}
@@ -299,13 +322,12 @@ def _tested_shapes(entry: CatalogEntry,
                    config: SweepConfig) -> tuple[list[tuple[int, ...]], int]:
     """Index tuples of the entry's sums within the guardrails; the skip count."""
     acts = entry.actions
-    order = acts[0].group.order() if acts else 0
     r_values = (2, 3) if config.include_triples else (2,)
     tested, skipped = [], 0
     for r in r_values:
         for shape in combinations_with_replacement(range(len(acts)), r):
             if sum(acts[i].degree for i in shape) > config.max_total_degree \
-                    or order > config.max_group_order:
+                    or entry.order > config.max_group_order:
                 skipped += 1
             else:
                 tested.append(shape)

@@ -166,3 +166,15 @@ def brute_pair_classes(generators, degree, order):
         seen |= members
         classes.append((min(members), len(members), order // len(orbit)))
     return sorted(classes)
+
+
+def brute_torus_generator(elements, order):
+    """The first of ``elements`` with the given order, by a full scan.
+
+    Fed the engine's whole enumeration of PSL2(q) and order q+1, this is
+    the torus search as it was before it skipped the first block.
+    """
+    for g in elements:
+        if g.order() == order:
+            return g
+    raise ValueError(f"no element of order {order}")

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from oracles import brute_elements, brute_normalizer, brute_order
+from oracles import (brute_elements, brute_normalizer, brute_order,
+                     brute_torus_generator)
 from qtperm import group, verifier
 from qtperm.analysis import is_two_transitive, subdegrees
-from qtperm.constructions import (LabeledAction, _min_coset_rep, a7_on_15,
+from qtperm.constructions import (LabeledAction, _coset_levels,
+                                  _min_coset_rep, a7_on_15,
                                   action_on_k_subsets, affine_frobenius,
                                   alternating_group, coset_action,
                                   cyclic_group, dihedral_2q_plus_2_subgroup,
@@ -120,6 +122,41 @@ def test_dihedral_subgroup_reflection_fixes_zero_and_inverts_the_torus(f):
     assert j * c * j == c.inverse()
 
 
+@pytest.mark.parametrize("f", [2, 3, 4, 5, 6])
+def test_torus_search_matches_the_full_scan(f):
+    # the skipped block fixes a point, so the first element of order q+1
+    # is the one the whole enumeration meets first
+    proj = psl2(f)
+    c = dihedral_2q_plus_2_subgroup(proj).generators[0]
+    assert c == brute_torus_generator(proj.group.elements(), proj.degree)
+
+
+def _products(monkeypatch):
+    calls = []
+    mul = Permutation.__mul__
+
+    def counting(p, q):
+        calls.append(None)
+        return mul(p, q)
+
+    monkeypatch.setattr(Permutation, "__mul__", counting)
+    return calls
+
+
+def test_torus_search_and_coset_enumeration_work(monkeypatch):
+    # PSL2(32): the torus search forms 33 elements outside G_0 (not all
+    # 1,025 up to the first of order 33), and the coset enumeration forms
+    # no Permutation product per coset and generator; the counts include
+    # the chain builds of the group and of D
+    proj = psl2(5)
+    calls = _products(monkeypatch)
+    D = dihedral_2q_plus_2_subgroup(proj)
+    assert len(calls) == 507
+    calls.clear()
+    assert coset_action(proj, D).degree == 496
+    assert len(calls) == 39
+
+
 def test_dihedral_subgroup_is_the_torus_normalizer_in_psl2_8():
     proj = psl2(3)
     D = dihedral_2q_plus_2_subgroup(proj)
@@ -142,13 +179,14 @@ def _coset_rep_cases():
 
 @pytest.mark.parametrize("name, G, H", _coset_rep_cases())
 def test_min_coset_rep_is_the_lex_least_element_of_the_coset(name, G, H):
-    h_chain = build_chain(H.generators, H.degree, tuple(range(H.degree)))
+    levels = _coset_levels(
+        build_chain(H.generators, H.degree, tuple(range(H.degree))))
     h_elements = brute_elements(H.generators, H.degree)
     g_elements = brute_elements(G.generators, G.degree)
     rng = random.Random(name)
     for g in rng.sample(g_elements, min(len(g_elements), 25)):
         least = min((h * g).images for h in h_elements)
-        assert _min_coset_rep(h_chain, g).images == least
+        assert _min_coset_rep(levels, g.images) == least
 
 
 def test_normalizer_of_dihedral_in_pgammal2():
@@ -200,6 +238,18 @@ COSET_DIGESTS = {
         "7737d24664178872608fb93d014571fd6edbc909d588b0364db952903fd79989",
     (pgammal2_cosets, 5):
         "c91418d823979df0f880bb50a7ac45b2db3d1c35aadad564bad63775a29ed31c",
+    (psl2_cosets, 2):
+        "7fe6b484fa7d505f355538464da429a8e1744b2adc914efdcb0a3066f823b27d",
+    (pgammal2_cosets, 2):
+        "5a476e9561af0ca583a1fa1d8cc5131be7b7fb56d662daef47a03373e718b92c",
+    (psl2_cosets, 4):
+        "d3acc1bf14a9196d984e972912cd513ef6bd4749d10e95a40c7b4ca64e4671c0",
+    (pgammal2_cosets, 4):
+        "a205073aaed07354ec5a5ab06b66d43200476a696096afe975a6f4327cd01fca",
+    (psl2_cosets, 6):
+        "1ef5a5d35538cbaf14dd1aa63a866eaaf26a6d11b2a4ba504ec85bccf3212e49",
+    (pgammal2_cosets, 6):
+        "d4a9d3877b8a59b99ef1242103c898d3d3fb577cd4a98abd5483910de27e135e",
 }
 
 
@@ -220,6 +270,13 @@ def test_coset_action_point_stabilizer_is_subgroup():
     assert act.degree == 4
     stab = act.group.point_stabilizer(act.index_of(Permutation.identity(4)))
     assert stab.order() == H.order() == 6
+
+
+def test_coset_action_of_degree_one():
+    act = coset_action(symmetric_group(1),
+                       PermGroup([Permutation.identity(1)], 1))
+    assert act.degree == 1
+    assert act.points == (Permutation.identity(1),)
 
 
 def test_coset_action_builds_one_chain_of_the_subgroup(monkeypatch):

@@ -126,6 +126,26 @@ def test_elements_enumeration_matches_brute():
         sorted(p.images for p in brute_elements(gens, 5))
 
 
+def test_elements_from_a_level_are_the_stabilizer_and_open_the_blocks():
+    G = psl2(3).group
+    chain = G.chain()
+    everything = list(chain.elements())
+    level = [list(chain.elements(k)) for k in range(len(chain.base) + 1)]
+    assert level[0] == everything
+    assert level[-1] == [Permutation.identity(9)]
+    # each block of the enumeration is level 1 times one transversal element
+    size = len(level[1])
+    for n, gamma in enumerate(sorted(chain.transversals[0])):
+        u = chain.transversals[0][gamma]
+        assert everything[n * size:(n + 1) * size] == [s * u for s in level[1]]
+    b = chain.base[0]
+    assert {g.images for g in level[1]} == {
+        g.images for g in brute_elements(G.generators, 9) if g(b) == b}
+    for bad in (-1, len(chain.base) + 1):
+        with pytest.raises(ValueError):
+            chain.elements(bad)
+
+
 def test_build_chain_rejects_mismatched_degree():
     with pytest.raises(ValueError):
         build_chain([Permutation.identity(3), Permutation.identity(4)], 4)

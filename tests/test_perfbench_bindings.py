@@ -47,6 +47,9 @@ def test_tracer_wraps_and_restores_every_binding():
     assert ("qtperm.analysis", "analyze") in wrapped
     assert ("qtperm.verifier", "quasi_verdict") in wrapped
     assert ("qtperm.analysis", "is_faithful_on") in wrapped
+    # the catalog's construction cost is read from these two spans
+    assert ("qtperm.constructions", "coset_action") in wrapped
+    assert ("qtperm.constructions", "dihedral_2q_plus_2_subgroup") in wrapped
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import (brute_core_free_subgroups, brute_elements,
                      brute_least_conjugate)
-from qtperm import analysis, verifier
+from qtperm import analysis, group, verifier
 from qtperm.analysis import (QUASI_TRANSITIVE, QuasiVerdict, analyze,
                              quasi_verdict)
 from qtperm.constructions import (LabeledAction, action_on_k_subsets,
@@ -179,7 +179,7 @@ def test_table_rejects_non_diagonal_entry():
                       f"AGL(1,5)-{k}", range(5))
         for k, c in enumerate(((1, 2, 4, 3), (1, 3, 4, 2))))
     with pytest.raises(AssertionError, match="two-AGL"):
-        orbital_table(CatalogEntry("two-AGL", actions), (0, 1))
+        orbital_table(CatalogEntry("two-AGL", actions, 20), (0, 1))
     # S3 paired with its own sign action: the diagonal group has order 6,
     # and the stabilizer of a sign point is A3, whose image on the sign
     # action has order 1, not 3; in either order the entry is rejected
@@ -192,7 +192,29 @@ def test_table_rejects_non_diagonal_entry():
     assert [g.order() for g in s3.group.generators] == [2, 3]
     for pair in ((s3, sign), (sign, s3)):
         with pytest.raises(AssertionError, match="S3-quotient is not diagonal"):
-            orbital_table(CatalogEntry("S3-quotient", pair), (0, 1))
+            orbital_table(CatalogEntry("S3-quotient", pair, 6), (0, 1))
+
+
+def test_catalog_orders_match_the_chains():
+    for entry in default_catalog(SweepConfig(include_q32=True)):
+        assert entry.order == entry.actions[0].group.order(), entry.name
+
+
+def test_table_rejects_a_wrong_closed_form_order():
+    entry = next(e for e in default_catalog(SweepConfig(families=("affine",)))
+                 if e.name == "AGL(1,5)")
+    with pytest.raises(AssertionError, match="has order 20, not 40"):
+        orbital_table(replace(entry, order=40), (0, 1))
+
+
+def test_order_guardrail_builds_no_chain(monkeypatch):
+    built = []
+    monkeypatch.setattr(group, "build_chain",
+                        lambda *args, **kwargs: built.append(args))
+    entry = CatalogEntry("S7", (symmetric_group(7),), 5040)
+    config = SweepConfig(max_group_order=5039)
+    assert verifier._tested_shapes(entry, config) == ([], 1)
+    assert built == []
 
 
 @pytest.mark.parametrize("family, name", [
