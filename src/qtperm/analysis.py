@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .group import PermGroup, build_chain, orbit_partition, schreier_tree
+from .group import (PermGroup, Transversal, build_chain, orbit_partition,
+                    schreier_tree)
 from .perm import Permutation
 
 QUASI_TRANSITIVE = "quasi_transitive"
@@ -74,15 +75,16 @@ class _Row:
     """|G_alpha| and the G_alpha-orbits of the domain, from G's chain for (alpha,).
 
     ``parts`` come in order of their least points, each breadth-first from
-    it. ``transversal`` maps each b in alpha's G-orbit to a u with u(alpha) =
-    b. ``subdegrees`` (ascending, with alpha's own 1) and ``betas`` (least
+    it. ``transversal`` is level 0 of that chain: its keys are alpha's
+    G-orbit, and it maps each b there to a u with u(alpha) = b.
+    ``subdegrees`` (ascending, with alpha's own 1) and ``betas`` (least
     points, without alpha) describe the parts inside an invariant set.
     """
 
     alpha: int
     stab_order: int
     parts: list[list[int]]
-    transversal: dict[int, Permutation]
+    transversal: Transversal
     subdegrees: tuple[int, ...]
     betas: tuple[int, ...]
 
@@ -139,7 +141,7 @@ def _pair_classes(rows: Sequence[_Row]) -> Iterator[tuple[int, int, int, int]]:
                 continue
             pairs = len(transversal) * len(part)
             if b in transversal:
-                paired = transversal[b].images.index(a)
+                paired = transversal.preimage(b, a)
                 joined.add(paired)
                 if paired in part:
                     pairs //= 2
@@ -249,7 +251,20 @@ def _primitive(G: PermGroup, row: _Row) -> bool:
     are the orbits of alpha under the groups between G_alpha and G. Those of
     beta and h(beta), h in G_alpha, are the same block, so one beta per
     suborbit decides them all.
+
+    A block through alpha is a union of suborbits holding {alpha}, and its
+    size divides the orbit length n. So when no 1 + (sum of a sub-multiset
+    of the other subdegrees) is a divisor of n strictly between 1 and n, no
+    block can exist and nothing is searched. Bit s of ``sums`` is set when
+    some sub-multiset sums to s.
     """
+    n = len(row.transversal)
+    sums = 1
+    for d in row.subdegrees[1:]:  # subdegrees[0] is alpha's own 1
+        sums |= sums << d
+    if not any(sums >> (d - 1) & 1
+               for d in range(2, n // 2 + 1) if n % d == 0):
+        return True
     alpha, transversal = row.alpha, row.transversal
     stabilizer = G.chain((alpha,)).generators_fixing(1)
     return all(

@@ -116,13 +116,17 @@ def regular_action(action: LabeledAction) -> LabeledAction:
     if order > MAX_REGULAR_ORDER:
         raise ValueError(f"group too large for regular action: "
                          f"{order} > {MAX_REGULAR_ORDER}")
-    elements = sorted(p.images for p in action.group.elements())
+    # every element s * u, level by level from the deepest, as image tuples
+    elements = [tuple(range(action.group.degree))]
+    for trans in reversed(action.group.chain().transversals):
+        us = [u.images for u in trans.values()]
+        elements = [times_s(u) for times_s in map(_compose_with, elements)
+                    for u in us]
+    elements.sort()
     index = {e: i for i, e in enumerate(elements)}
-    perms = [Permutation._unchecked(e) for e in elements]
-    gens = []
-    for s in action.group.generators:
-        images = [index[(p * s).images] for p in perms]
-        gens.append(Permutation(tuple(images)))
+    times = [_compose_with(e) for e in elements]
+    gens = [Permutation(tuple(index[times_p(s.images)] for times_p in times))
+            for s in action.group.generators]
     group = PermGroup(gens, order)
     return LabeledAction(group, f"{action.label}-regular", elements)
 

@@ -8,13 +8,88 @@ from typing import Iterable, Iterator, Sequence
 from .perm import Permutation
 
 
+class Transversal(dict):
+    """One chain level's Schreier tree, with transversal elements formed on read.
+
+    ``tree`` is ``schreier_tree(gens, alpha)``.  Iteration, ``len`` and
+    ``in`` answer from it, in its breadth-first key order, so they cost no
+    product.  ``t[gamma]`` is the element u_gamma with u_gamma(alpha) =
+    gamma: on first read it is formed as u_a * g along the tree edge (a, g)
+    and kept, so each is formed at most once and is the same permutation
+    whenever it is formed.  The dict itself holds only the elements formed
+    so far, so reading one is a C-level lookup.  Hot loops test membership
+    on ``tree`` and read with ``t[gamma]``; ``dict.get(t, gamma)`` would
+    answer None for a point whose element is not formed yet.
+    """
+
+    __slots__ = ("tree", "gens", "_inverses")
+
+    def __init__(self, gens: Sequence[Permutation], alpha: int, degree: int):
+        super().__init__({alpha: Permutation.identity(degree)})
+        self.gens = tuple(gens)
+        self.tree = schreier_tree(self.gens, alpha)
+        # inverse images of the generators in self.gens, keyed by id()
+        self._inverses: dict[int, tuple[int, ...]] = {}
+
+    def __missing__(self, gamma: int) -> Permutation:
+        # iterative: a cyclic group's tree is one path, as deep as its orbit
+        tree, path = self.tree, []
+        while (u := dict.get(self, gamma)) is None:
+            path.append(gamma)
+            gamma = tree[gamma][0]
+        for gamma in reversed(path):
+            u = u * tree[gamma][1]
+            dict.__setitem__(self, gamma, u)
+        return u
+
+    def __len__(self) -> int:
+        return len(self.tree)
+
+    def __contains__(self, gamma: object) -> bool:
+        return gamma in self.tree
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.tree)
+
+    def keys(self):
+        return self.tree.keys()
+
+    def values(self) -> Iterator[Permutation]:
+        return map(self.__getitem__, self.tree)
+
+    def items(self) -> Iterator[tuple[int, Permutation]]:
+        return ((gamma, self[gamma]) for gamma in self.tree)
+
+    def get(self, gamma: int, default=None):
+        return self[gamma] if gamma in self.tree else default
+
+    def preimage(self, gamma: int, x: int) -> int:
+        """u_gamma^-1(x), without forming any element.
+
+        u_gamma = u_a * g, so u_gamma^-1(x) = u_a^-1(g^-1(x)): the walk goes
+        up the tree through the inverse images of each edge's generator
+        until it meets a formed element.  Each generator is inverted once,
+        when a walk first meets it, and looked up by identity, since
+        hashing a permutation reads all its images.
+        """
+        tree, inverses = self.tree, self._inverses
+        while (u := dict.get(self, gamma)) is None:
+            gamma, g = tree[gamma]
+            inverse = inverses.get(id(g))
+            if inverse is None:
+                inverse = inverses[id(g)] = g.inverse().images
+            x = inverse[x]
+        return u.images.index(x)
+
+
 class StabilizerChain:
     """A base, per-level transversals and strong generators.
 
-    Level ``i`` stabilizes ``base[:i]``; ``transversals[i]`` maps each point
-    ``gamma`` in the basic orbit of ``base[i]`` to a representative ``u`` with
-    ``u(base[i]) == gamma``.  ``strong_gens[i]`` generates the pointwise
-    stabilizer of ``base[:i]``; ``strong_gens[len(base)]`` is always empty.
+    Level ``i`` stabilizes ``base[:i]``; ``transversals[i]`` is the
+    ``Transversal`` of the basic orbit of ``base[i]``, mapping each point
+    ``gamma`` in it to a representative ``u`` with ``u(base[i]) == gamma``.
+    ``strong_gens[i]`` generates the pointwise stabilizer of ``base[:i]``;
+    ``strong_gens[len(base)]`` is always empty.
     """
 
     __slots__ = ("degree", "base", "transversals", "strong_gens")
@@ -26,10 +101,10 @@ class StabilizerChain:
         self.strong_gens = strong_gens
 
     def order(self) -> int:
-        return math.prod(len(t) for t in self.transversals)
+        return math.prod(len(t.tree) for t in self.transversals)
 
     def transversal_sizes(self) -> tuple[int, ...]:
-        return tuple(len(t) for t in self.transversals)
+        return tuple(len(t.tree) for t in self.transversals)
 
     def sift(self, a: Permutation, b: Permutation,
              start: int) -> tuple[Permutation, int]:
@@ -42,10 +117,11 @@ class StabilizerChain:
         """
         base, transversals = self.base, self.transversals
         for i in range(start, len(base)):
-            u = transversals[i].get(b.images.index(a.images[base[i]]))
-            if u is None:
+            trans = transversals[i]
+            gamma = b.images.index(a.images[base[i]])
+            if gamma not in trans.tree:
                 return b, i
-            b = u * b
+            b = trans[gamma] * b
         return b, len(base)
 
     def contains(self, p: Permutation) -> bool:
@@ -56,7 +132,7 @@ class StabilizerChain:
 
     def stabilizer_order_from(self, level: int) -> int:
         """Order of the pointwise stabilizer of ``base[:level]``."""
-        return math.prod(len(t) for t in self.transversals[level:])
+        return math.prod(len(t.tree) for t in self.transversals[level:])
 
     def generators_fixing(self, level: int) -> list[Permutation]:
         if level >= len(self.strong_gens):
@@ -156,7 +232,6 @@ def build_chain(
         if all(g(b) == b for b in base):
             base.append(g.first_moved_point())
 
-    identity = Permutation.identity(degree)
     if not base:
         return StabilizerChain(degree, (), [], [[]])
 
@@ -172,23 +247,13 @@ def build_chain(
         for i in range(k + 1):
             strong[i].append(g)
 
-    transversals: list[dict[int, Permutation]] = [dict() for _ in base]
+    transversals = [Transversal(strong[i], b, degree)
+                    for i, b in enumerate(base)]
     chain = StabilizerChain(degree, base, transversals, strong)
 
-    # each level's Schreier tree: a Schreier generator along a tree edge is 1
-    trees: list[dict[int, tuple[int, Permutation] | None]] = [{} for _ in base]
-    # each level's (gamma index, generator index) to resume its scan from
+    # each level's (gamma index, generator index) to resume its scan from,
+    # reset whenever the level gets a new Transversal
     cursors: list[tuple[int, int]] = [(0, 0) for _ in base]
-
-    def compute_transversal(i: int) -> None:
-        tree = schreier_tree(strong[i], chain.base[i])
-        trans: dict[int, Permutation] = {}
-        for b, edge in tree.items():
-            trans[b] = identity if edge is None else trans[edge[0]] * edge[1]
-        trees[i], transversals[i], cursors[i] = tree, trans, (0, 0)
-
-    for i in range(len(base)):
-        compute_transversal(i)
 
     def first_new_generator(i: int) -> tuple[Permutation, int] | None:
         """The first Schreier generator of level i that does not sift to 1.
@@ -206,8 +271,9 @@ def build_chain(
         whose residue has joined them; the residues found are the same as
         those of a scan from the least gamma.
         """
-        trans, tree, gens = transversals[i], trees[i], strong[i]
-        gammas = sorted(trans)
+        trans = transversals[i]
+        tree, gens = trans.tree, trans.gens
+        gammas = sorted(tree)
         first, start = cursors[i]
         for n in range(first, len(gammas)):
             gamma = gammas[n]
@@ -230,8 +296,8 @@ def build_chain(
 
     # Work from the deepest level up; the invariant is that all strictly
     # deeper levels are complete whenever level i is processed.  Every
-    # change to strong[l] recomputes transversals[l] at once, so each
-    # transversal is current whenever its level is read.
+    # change to strong[l] gives level l a new Transversal at once, so each
+    # tree is current whenever its level is read.
     i = len(base) - 1
     while i >= 0 and (_order is None or chain.order() < _order):
         found = first_new_generator(i)
@@ -242,12 +308,13 @@ def build_chain(
         if j == len(chain.base):
             chain.base += (residue.first_moved_point(),)
             strong.append([])
-            transversals.append(dict())
-            trees.append(dict())
+            transversals.append(None)  # replaced below
             cursors.append((0, 0))
         for level in range(i + 1, j + 1):
             strong[level].append(residue)
-            compute_transversal(level)
+            transversals[level] = Transversal(
+                strong[level], chain.base[level], degree)
+            cursors[level] = (0, 0)
         i = j
 
     return chain

@@ -213,6 +213,47 @@ def test_primitive_examples_and_oracle():
             brute_is_primitive(elems, range(G.degree))
 
 
+@pytest.mark.parametrize("build, searched", [
+    (lambda: dihedral_group(6), True),  # subdegrees 1, 1, 2, 2: 1 + 1 = 2
+    (lambda: action_on_k_subsets(symmetric_group(4), 2), True),  # 1, 1, 4
+    (lambda: symmetric_group(4), False),  # 1, 3 on 4 points
+    (lambda: affine_frobenius(7), False),  # a prime degree has no divisor
+    (lambda: action_on_k_subsets(symmetric_group(5), 2), False),  # 1, 3, 6
+    (lambda: psl2_cosets(3), False),  # 1, 9, 9, 9 on 28 points
+], ids=["D6", "S4-on-pairs", "S4", "AGL(1,7)", "S5-on-pairs",
+        "psl2_cosets(3)"])
+def test_primitivity_from_subdegrees_skips_the_block_search(
+        monkeypatch, build, searched):
+    # a block through alpha is 1 + a sum of other subdegrees in size and
+    # divides the degree; when no such size exists nothing is searched
+    G = build().group
+    trees = []
+    schreier_tree = analysis.schreier_tree
+
+    def recording(gens, alpha):
+        trees.append(alpha)
+        return schreier_tree(gens, alpha)
+
+    monkeypatch.setattr(analysis, "schreier_tree", recording)
+    primitive = is_primitive(G, range(G.degree))
+    assert bool(trees) == searched
+    # without a block size the action is primitive; the block search is
+    # checked against every partition where that is affordable
+    assert primitive or searched
+    if G.degree <= 8:
+        elements = brute_elements(G.generators, G.degree)
+        assert primitive == brute_is_primitive(elements, range(G.degree))
+
+
+@pytest.mark.parametrize("build", [psl2_cosets, pgammal2_cosets],
+                         ids=["psl2_cosets(5)", "pgammal2_cosets(5)"])
+def test_q32_coset_actions_are_primitive_by_their_subdegrees(
+        monkeypatch, build):
+    G = build(5).group
+    monkeypatch.setattr(analysis, "schreier_tree", None)
+    assert is_primitive(G, range(G.degree))
+
+
 def test_quasi_verdict_statuses():
     a7p = action_on_k_subsets(alternating_group(7), 2).group
     v = quasi_verdict(a7p)

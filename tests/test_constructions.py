@@ -66,6 +66,23 @@ def test_regular_action_trivial_stabilizers():
     assert act.group.point_stabilizer(0).order() == 1
 
 
+@pytest.mark.parametrize("build", [
+    lambda: dihedral_group(5), lambda: affine_frobenius(7),
+    lambda: symmetric_group(4), lambda: psl2(2), lambda: cyclic_group(1),
+], ids=["D5", "AGL(1,7)", "S4", "PSL2(4)", "C1"])
+def test_regular_action_matches_the_element_products(build):
+    # the points are the sorted elements, and generator s sends p to p * s
+    action = build()
+    G = action.group
+    elements = sorted(p.images for p in brute_elements(G.generators, G.degree))
+    index = {e: i for i, e in enumerate(elements)}
+    expected = [tuple(index[(Permutation(e) * s).images] for e in elements)
+                for s in G.generators]
+    regular = regular_action(action)
+    assert list(regular.points) == elements
+    assert [g.images for g in regular.group.generators] == expected
+
+
 def test_regular_action_respects_cap():
     with pytest.raises(ValueError):
         regular_action(symmetric_group(8))

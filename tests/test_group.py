@@ -6,7 +6,8 @@ from oracles import brute_elements, brute_orbit, brute_order
 from qtperm import group
 from qtperm.constructions import (alternating_group, pgammal2_cosets, psl2,
                                   psl2_cosets, symmetric_group)
-from qtperm.group import PermGroup, build_chain
+from qtperm.group import (PermGroup, StabilizerChain, Transversal,
+                          build_chain, schreier_tree)
 from qtperm.perm import Permutation
 from qtperm.verifier import SweepConfig, default_catalog
 
@@ -251,3 +252,104 @@ def test_level_scans_resume_after_the_last_residue(monkeypatch):
     chain = build_chain(action.group.generators, action.degree, (0,))
     assert chain.order() == 32 * (32 ** 2 - 1)
     assert len(sifts) == 553
+
+
+def _small_catalog_actions():
+    actions = [a for entry in default_catalog(SweepConfig(include_q32=True))
+               for a in entry.actions if a.degree <= 60]
+    return actions + [psl2_cosets(3)]
+
+
+def _unformed(chain):
+    """A copy of ``chain`` whose levels hold no formed element but the root."""
+    return StabilizerChain(
+        chain.degree, chain.base,
+        [Transversal(chain.strong_gens[i], b, chain.degree)
+         for i, b in enumerate(chain.base)], chain.strong_gens)
+
+
+def test_preimage_inverts_the_transversal_element():
+    actions = _small_catalog_actions()
+    assert len(actions) > 50
+    for action in actions:
+        n = action.degree
+        for prefix in ((), (n - 1,)):
+            for trans in _unformed(PermGroup(action.group.generators, n)
+                                   .chain(prefix)).transversals:
+                pre = {(gamma, x): trans.preimage(gamma, x)
+                       for gamma in trans for x in range(n)}
+                # the walk formed nothing but the root
+                assert dict.__len__(trans) == 1
+                for (gamma, x), y in pre.items():
+                    assert y == trans[gamma].images.index(x), action.label
+                # with every element formed, the walk stops at once
+                assert all(trans.preimage(gamma, x) == y
+                           for (gamma, x), y in pre.items())
+
+
+def test_transversal_reads_its_tree_before_forming_elements():
+    for action in (psl2_cosets(3), symmetric_group(5), psl2(3)):
+        gens, n = action.group.generators, action.degree
+        alpha = n - 1
+        trans = Transversal(gens, alpha, n)
+        tree = schreier_tree(gens, alpha)
+        assert list(trans) == list(tree)
+        assert list(trans.keys()) == list(tree)
+        assert len(trans) == len(tree)
+        assert all((x in trans) == (x in tree) for x in range(-1, n + 1))
+        assert dict.__len__(trans) == 1
+        # forming elements changes none of the answers
+        expected = {alpha: Permutation.identity(n)}
+        for b, edge in tree.items():
+            if edge is not None:
+                expected[b] = expected[edge[0]] * edge[1]
+        assert dict(trans.items()) == expected
+        assert list(trans) == list(tree) and len(trans) == len(tree)
+        assert trans.get(n) is None and trans.get(alpha) == expected[alpha]
+
+
+def test_reading_one_element_forms_only_its_tree_path():
+    action = psl2_cosets(3)
+    trans = Transversal(action.group.generators, 0, action.degree)
+    gamma = next(reversed(trans.tree))
+    depth, a = 0, gamma
+    while trans.tree[a] is not None:
+        a, depth = trans.tree[a][0], depth + 1
+    assert depth > 1
+    u = trans[gamma]
+    assert u(0) == gamma
+    assert dict.__len__(trans) == depth + 1
+
+
+def test_sift_strips_by_elements_not_formed_yet():
+    G = psl2_cosets(3).group
+    chain = _unformed(G.chain())
+    p = next(g for g in G.elements() if g(chain.base[0]) != chain.base[0])
+    # dict.get, which never calls __missing__, would stop at level 0
+    assert dict.get(chain.transversals[0], p(chain.base[0])) is None
+    b, level = chain.sift(p, Permutation.identity(G.degree), 0)
+    assert level == len(chain.base) and b == p
+    assert chain.contains(p)
+
+
+def test_sift_stops_at_a_point_outside_the_basic_orbit():
+    c = Permutation.from_cycles(4, [(0, 1, 2)])
+    chain = PermGroup([c], 4).chain()
+    t = Permutation.from_cycles(4, [(0, 3)])
+    b, level = chain.sift(t, Permutation.identity(4), 0)
+    assert (b, level) == (Permutation.identity(4), 0)
+    assert not chain.contains(t)
+
+
+def test_deep_tree_forms_its_last_element_without_recursion():
+    # one cycle of length 1,200: the tree is a path deeper than the
+    # default recursion limit, and its last point is read first
+    n = 1200
+    c = Permutation.from_cycles(n, [tuple(range(n))])
+    trans = Transversal([c], 0, n)
+    last = next(reversed(trans.tree))
+    assert last == n - 1
+    assert trans[last] == c ** (n - 1)
+    assert trans.preimage(last, 0) == 1
+    chain = build_chain([c], n, _order=n)
+    assert chain.order() == n and chain.contains(c ** 7)

@@ -265,3 +265,23 @@ def test_dihedral_catalog_actions_are_faithful():
         assert [a.degree for a in entry.actions] == \
             [2 * n, n] + ([n] if n % 2 == 0 else [])
         assert all(a.group.order() == 2 * n for a in entry.actions)
+
+
+@pytest.mark.parametrize("name, products", [("PSL2(8)", 123), ("PSL2(32)", 449)])
+def test_orbital_table_forms_only_the_transversal_elements_it_reads(
+        monkeypatch, name, products):
+    # each row chain stops at the known order once level 0's tree exists,
+    # and the paired points are read by preimage, so most level-0 elements
+    # are never formed; forming every one takes 666 and 993 products
+    entry = next(e for e in default_catalog(
+        SweepConfig(families=("psl",), include_q32=True)) if e.name == name)
+    calls = []
+    mul = Permutation.__mul__
+
+    def counting(p, q):
+        calls.append(None)
+        return mul(p, q)
+
+    monkeypatch.setattr(Permutation, "__mul__", counting)
+    orbital_table(entry, tuple(range(len(entry.actions))))
+    assert len(calls) == products
