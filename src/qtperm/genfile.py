@@ -10,6 +10,7 @@ from .perm import Permutation
 
 _CYCLE_LINE = re.compile(r"^(\s*\(\s*[0-9\s,]*\))+\s*$")
 _CYCLE = re.compile(r"\(([^()]*)\)")
+_SEPARATOR = re.compile(r"[\s,]+")
 
 
 class ParseError(ValueError):
@@ -35,7 +36,7 @@ def _parse_cycle_line(text: str, degree: int, lineno: int) -> Permutation:
         if not body:
             continue
         try:
-            points = [int(tok) for tok in re.split(r"[\s,]+", body)]
+            points = [int(tok) for tok in _SEPARATOR.split(body)]
         except ValueError:
             raise ParseError(f"bad cycle syntax: {text.strip()!r}", lineno)
         for p in points:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .perm import Permutation
@@ -118,10 +119,12 @@ class StabilizerChain:
         base, transversals = self.base, self.transversals
         for i in range(start, len(base)):
             trans = transversals[i]
-            gamma = b.images.index(a.images[base[i]])
+            beta = base[i]
+            gamma = b.images.index(a.images[beta])
             if gamma not in trans.tree:
                 return b, i
-            b = trans[gamma] * b
+            if gamma != beta:  # u_beta = 1 strips nothing
+                b = trans[gamma] * b
         return b, len(base)
 
     def contains(self, p: Permutation) -> bool:
@@ -171,13 +174,23 @@ def schreier_tree(
     """
     tree: dict[int, tuple[int, Permutation] | None] = {alpha: None}
     queue = [alpha]
+    pairs = [(g.images, g) for g in gens]
     for a in queue:
-        for g in gens:
-            b = g(a)
+        for images, g in pairs:
+            b = images[a]
             if b not in tree:
                 tree[b] = (a, g)
                 queue.append(b)
     return tree
+
+
+def _is_involution(g: Permutation) -> bool:
+    """Whether g * g = 1, read from g's images without a product."""
+    p = g.images
+    # itemgetter returns a bare item for one index and needs at least one
+    if len(p) < 2:
+        return True
+    return itemgetter(*p)(p) == Permutation.identity(len(p)).images
 
 
 def orbit_partition(gens: Sequence[Permutation],
@@ -254,6 +267,8 @@ def build_chain(
     # each level's (gamma index, generator index) to resume its scan from,
     # reset whenever the level gets a new Transversal
     cursors: list[tuple[int, int]] = [(0, 0) for _ in base]
+    # ids of the strong generators that are involutions
+    involutions = {id(g) for g in gens if _is_involution(g)}
 
     def first_new_generator(i: int) -> tuple[Permutation, int] | None:
         """The first Schreier generator of level i that does not sift to 1.
@@ -265,6 +280,15 @@ def build_chain(
         transversal product on the right, so only a residue that becomes a
         strong generator is inverted.
 
+        When g is an involution, the generator at (delta, g) is
+        u_delta g u_gamma^-1 = s^-1.  So (gamma, g) is skipped when
+        delta < gamma: its partner came earlier in the scan and lies in
+        the deeper levels, which are complete and so form a group that
+        holds its inverse.  It is also skipped when the tree edge into
+        gamma is (delta, g), since then u_gamma g = u_delta g g = u_delta.
+        A fixed point of g is still tested.  Each skipped pair would have
+        sifted to 1, so the residues are those of a scan that tests them.
+
         The scan resumes after the pair (gamma, g) that gave level i's last
         residue.  Deeper levels only gain elements until level i changes,
         so every pair before it still sifts to 1, and so does that pair,
@@ -275,15 +299,18 @@ def build_chain(
         tree, gens = trans.tree, trans.gens
         gammas = sorted(tree)
         first, start = cursors[i]
+        pairs = [(g.images, g, id(g) in involutions) for g in gens]
         for n in range(first, len(gammas)):
             gamma = gammas[n]
-            u = trans[gamma]
-            for k in range(start, len(gens)):
-                g = gens[k]
-                delta = g(gamma)
+            edge = tree[gamma]
+            for k in range(start, len(pairs)):
+                images, g, involution = pairs[k]
+                delta = images[gamma]
+                if involution and (delta < gamma or edge == (delta, g)):
+                    continue
                 if tree[delta] == (gamma, g):
                     continue
-                a = u * g
+                a = trans[gamma] * g
                 b = trans[delta]
                 if a.images == b.images:
                     continue
@@ -305,6 +332,8 @@ def build_chain(
             i -= 1
             continue
         residue, j = found
+        if _is_involution(residue):
+            involutions.add(id(residue))
         if j == len(chain.base):
             chain.base += (residue.first_moved_point(),)
             strong.append([])

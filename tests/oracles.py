@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here works by exhaustive enumeration and deliberately shares no
-code with the engine beyond the Permutation value type.
+Everything here works by exhaustive enumeration, or for chains by the
+plain textbook algorithm, and deliberately shares no code with the engine
+beyond the Permutation value type.
 """
 
 from __future__ import annotations
@@ -178,3 +179,68 @@ def brute_torus_generator(elements, order):
         if g.order() == order:
             return g
     raise ValueError(f"no element of order {order}")
+
+
+def plain_schreier_sims(generators, degree, base_prefix=()):
+    """The textbook deterministic Schreier-Sims that ``build_chain`` follows.
+
+    It takes the same base, generator order and breadth-first Schreier
+    trees, but rescans each level from the least gamma and sifts every
+    Schreier generator u_gamma g u_delta^-1 with inverses, skipping none.
+    Returns the base, the strong generators per level and each level's
+    transversal as a dict from gamma to u_gamma.
+    """
+    gens = []
+    for g in generators:
+        if not g.is_identity() and g not in gens:
+            gens.append(g)
+    base = list(base_prefix)
+    for g in gens:
+        if all(g(b) == b for b in base):
+            base.append(g.first_moved_point())
+    strong = [[g for g in gens if all(g(b) == b for b in base[:i])]
+              for i in range(len(base) + 1)]
+
+    def transversal(i):
+        u = {base[i]: Permutation.identity(degree)}
+        queue = [base[i]]
+        for a in queue:
+            for g in strong[i]:
+                if g(a) not in u:
+                    u[g(a)] = u[a] * g
+                    queue.append(g(a))
+        return u
+
+    def sift(r, start):
+        for i in range(start, len(base)):
+            if r(base[i]) not in trans[i]:
+                return r, i
+            r = r * trans[i][r(base[i])].inverse()
+        return r, len(base)
+
+    def first_residue(i):
+        for gamma in sorted(trans[i]):
+            for g in strong[i]:
+                s = trans[i][gamma] * g * trans[i][g(gamma)].inverse()
+                r, j = sift(s, i + 1)
+                if not r.is_identity():
+                    return r, j
+        return None
+
+    trans = [transversal(i) for i in range(len(base))]
+    i = len(base) - 1
+    while i >= 0:
+        found = first_residue(i)
+        if found is None:
+            i -= 1
+            continue
+        r, j = found
+        if j == len(base):
+            base.append(r.first_moved_point())
+            strong.append([])
+            trans.append(None)
+        for level in range(i + 1, j + 1):
+            strong[level].append(r)
+            trans[level] = transversal(level)
+        i = j
+    return base, strong, trans

@@ -1,18 +1,22 @@
-"""Chains built after another chain of the same group is cached.
+"""Chains against a fresh build and against the textbook algorithm.
 
 ``PermGroup.chain`` hands the order of a cached chain to ``build_chain``,
 which then stops once its transversal lengths multiply to it, and ``contains``
 sifts its argument forward by base images without inverting it. Both are
 checked here against a fresh ``build_chain`` and against membership in the
-brute-force closure.
+brute-force closure. ``build_chain`` itself skips the Schreier generators it
+can prove trivial and resumes each level's scan; its chains are checked
+against a Schreier-Sims that sifts every one of them.
 """
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import CLOSURE_CAP, brute_elements
+from oracles import CLOSURE_CAP, brute_elements, plain_schreier_sims
+from qtperm.constructions import pgammal2_cosets, psl2_cosets
 from qtperm.group import PermGroup, build_chain
 from qtperm.perm import Permutation
 from qtperm.verifier import default_catalog
@@ -95,6 +99,55 @@ def test_random_chains_after_a_cached_chain_match_fresh_builds(case, seed):
     fixing = [g for g in elements if g(alpha) == alpha]
     assert stab.order() == len(fixing)
     _assert_membership(stab, fixing, rng)
+
+
+def _assert_matches_plain(gens, n, prefix):
+    chain = build_chain(gens, n, prefix)
+    base, strong, trans = plain_schreier_sims(gens, n, prefix)
+    assert chain.base == tuple(base)
+    assert [[g.images for g in level] for level in chain.strong_gens] == \
+        [[g.images for g in level] for level in strong]
+    # the same trees, in the same breadth-first order, with the same elements
+    assert [[(gamma, t[gamma].images) for gamma in t]
+            for t in chain.transversals] == \
+        [[(gamma, u.images) for gamma, u in t.items()] for t in trans]
+
+
+def _involution(n, pairs, pi):
+    """(pi[0] pi[1])(pi[2] pi[3])... with ``pairs`` transpositions."""
+    return Permutation.from_cycles(
+        n, [(pi[2 * k], pi[2 * k + 1]) for k in range(pairs)])
+
+
+@st.composite
+def involution_sets(draw):
+    """1-4 generators of degree 2-14, mostly involutions with fixed points."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        pi = draw(st.permutations(range(n)))
+        if draw(st.integers(0, 3)):
+            gens.append(_involution(n, draw(st.integers(1, n // 2)), pi))
+        else:
+            gens.append(Permutation(pi))
+    points = st.lists(st.integers(0, n - 1), max_size=2, unique=True)
+    return n, gens, tuple(draw(points))
+
+
+@settings(max_examples=80, deadline=None)
+@given(involution_sets())
+def test_random_chains_match_a_scan_that_sifts_every_schreier_generator(case):
+    n, gens, prefix = case
+    _assert_matches_plain(gens, n, prefix)
+
+
+@pytest.mark.parametrize("build", [psl2_cosets, pgammal2_cosets],
+                         ids=["psl2_cosets(5)", "pgammal2_cosets(5)"])
+def test_q32_coset_chains_match_a_scan_that_sifts_every_schreier_generator(
+        build):
+    # two of the three and four generators are involutions
+    action = build(5)
+    _assert_matches_plain(action.group.generators, action.degree, (0,))
 
 
 def test_elements_order_does_not_depend_on_cached_chains():

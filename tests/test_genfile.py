@@ -69,6 +69,17 @@ def test_error_image_list_not_bijective():
         parse_generators("degree 3\n[1, 1, 2]\n")
 
 
+@pytest.mark.parametrize("cycle", ["(,1 2)", "(1 2,)", "(1 2)(,3)"])
+def test_error_separator_at_a_cycle_edge(cycle):
+    # a separator at either end of a cycle leaves an empty token, which
+    # is not a point; between points, commas and blanks are one separator
+    with pytest.raises(ParseError, match="bad cycle syntax") as exc:
+        parse_generators(f"degree 3\n{cycle}\n")
+    assert exc.value.line == 2
+    assert parse_generators("degree 3\n( 1, 2 )\n").perms == (
+        Permutation.from_cycles(3, [(0, 1)]),)
+
+
 def test_error_junk_line_reports_position():
     with pytest.raises(ParseError) as exc:
         parse_generators("degree 3\n(1 2)\nhello\n")

@@ -239,8 +239,9 @@ def test_only_new_strong_generators_are_inverted(monkeypatch, build):
 def test_level_scans_resume_after_the_last_residue(monkeypatch):
     # a scan that climbs back to an unchanged level resumes after the
     # Schreier generator that gave its last residue instead of sifting the
-    # earlier ones again; a scan from the least gamma each time takes 557
-    action = psl2_cosets(5)
+    # earlier ones again, and skips the generators that an involution pairs
+    # with one already passed; resuming alone takes 553 and 1,055 sifts,
+    # and a scan from the least gamma each time 557 and 1,059
     sifts = []
     original = group.StabilizerChain.sift
 
@@ -249,9 +250,14 @@ def test_level_scans_resume_after_the_last_residue(monkeypatch):
         return original(self, a, b, start)
 
     monkeypatch.setattr(group.StabilizerChain, "sift", counted)
-    chain = build_chain(action.group.generators, action.degree, (0,))
-    assert chain.order() == 32 * (32 ** 2 - 1)
-    assert len(sifts) == 553
+    for build, order, expected in ((psl2_cosets, 32 * (32 ** 2 - 1), 385),
+                                   (pgammal2_cosets, 5 * 32 * (32 ** 2 - 1),
+                                    815)):
+        action = build(5)
+        sifts.clear()
+        chain = build_chain(action.group.generators, action.degree, (0,))
+        assert chain.order() == order
+        assert len(sifts) == expected, action.label
 
 
 def _small_catalog_actions():

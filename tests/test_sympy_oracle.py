@@ -135,16 +135,30 @@ def large_generator_sets(draw):
     """Generator sets of degree 13-24, above the brute-force closure cap.
 
     Besides plain random sets (mostly S_n or A_n), they hold disjoint
-    unions of random permutations on 2-3 blocks (intransitive) and
-    permutations preserving a block system (imprimitive), relabelled at
-    random, so that residues land on several levels of the chain.
+    unions of random permutations on 2-3 blocks (intransitive),
+    permutations preserving a block system (imprimitive) and 2-3
+    involutions, some with fixed points, with at most one random
+    permutation beside them, all relabelled at random, so that residues
+    land on several levels of the chain and the scan meets the Schreier
+    generators an involution pairs.
     """
-    kind = draw(st.sampled_from(["random", "intransitive", "imprimitive"]))
+    kind = draw(st.sampled_from(
+        ["random", "intransitive", "imprimitive", "involutions"]))
     count = draw(st.integers(1, 3))
     if kind == "random":
         n = draw(st.integers(13, 24))
         return n, [list(draw(st.permutations(range(n)))) for _ in range(count)]
-    if kind == "intransitive":
+    if kind == "involutions":
+        n = draw(st.integers(13, 24))
+        gens = []
+        for _ in range(draw(st.integers(2, 3))):
+            # (0 1)(2 3)...(2k-2 2k-1), fixing the points from 2k on
+            k = draw(st.integers(1, n // 2))
+            swaps = [x ^ 1 if x < 2 * k else x for x in range(n)]
+            gens.append(_relabel(swaps, draw(st.permutations(range(n)))))
+        if draw(st.booleans()):
+            gens.append(list(draw(st.permutations(range(n)))))
+    elif kind == "intransitive":
         n = draw(st.integers(13, 24))
         cuts = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2,
                              unique=True))
@@ -152,7 +166,7 @@ def large_generator_sets(draw):
         blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         gens = [[y for block in blocks for y in draw(st.permutations(block))]
                 for _ in range(count)]
-    else:
+    elif kind == "imprimitive":
         n = draw(st.sampled_from([14, 15, 16, 18, 20, 21, 22, 24]))
         k = draw(st.sampled_from([d for d in range(2, n) if n % d == 0]))
         m = n // k
