@@ -15,6 +15,7 @@ from . import constructions as cons
 from .analysis import QUASI_TRANSITIVE, _is_diagonal_sum, analyze
 from .genfile import (GeneratorFile, ParseError, file_from_group,
                       format_generators, group_from_file, parse_generators)
+from .gf2 import IRREDUCIBLE
 from .report import (action_report_document, step4_document, sweep_document)
 from .verifier import SweepConfig, step4_check, sweep
 
@@ -55,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("files", nargs="*",
                              help="input files for 'regular' and 'sum'")
     p_construct.add_argument("--f", type=int, default=3,
-                             help="field exponent for psl2/pgammal2 (3 or 5)")
+                             help="field exponent for psl2/pgammal2, one of "
+                             + ", ".join(map(str, sorted(IRREDUCIBLE))))
     p_construct.add_argument("--p", type=int, default=5,
                              help="prime for frobenius")
     p_construct.add_argument("--action", choices=("projective", "cosets"),

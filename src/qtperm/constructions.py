@@ -7,7 +7,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .gf2 import GF2Field
-from .group import PermGroup
+from .group import PermGroup, _is_involution
 from .perm import Permutation
 
 INFINITY = "inf"
@@ -244,27 +244,39 @@ def _compose_with(images: tuple) -> Callable[[tuple], tuple]:
     return itemgetter(*images)
 
 
-def _coset_levels(chain) -> list[tuple[Callable, dict[int, Callable]]]:
+def _coset_levels(chain, at_base: Callable[[tuple], tuple]) -> list:
     """The nontrivial levels of a chain with base 0..n-1, for ``_min_coset_rep``.
 
-    Each is a getter of images at the level's basic orbit, and the map from
-    each orbit point gamma to the product on the left by u_gamma.
+    Each is a getter of images at the level's basic orbit, or None when
+    that orbit is every point, and the map from each orbit point gamma to
+    the step of u_gamma: the maps from g's images to those of u_gamma * g,
+    in full and, on the last level alone, at the points ``at_base`` reads.
     """
-    return [(itemgetter(*trans),
-             {gamma: _compose_with(u.images) for gamma, u in trans.items()})
-            for trans in chain.transversals if len(trans) > 1]
+    levels = [trans for trans in chain.transversals if len(trans) > 1]
+    return [(None if len(trans) == chain.degree else itemgetter(*trans),
+             {gamma: (_compose_with(u.images),
+                      _compose_with(at_base(u.images))
+                      if trans is levels[-1] else None)
+              for gamma, u in trans.items()})
+            for trans in levels]
 
 
-def _min_coset_rep(levels, images: tuple) -> tuple:
-    """Images of the lexicographically least element of H*g, g given by images.
+def _min_coset_rep(levels, images: tuple, step: tuple) -> tuple[tuple, tuple]:
+    """The least element of H*g, g given by images, as images and a last step.
 
-    ``levels`` come from ``_coset_levels`` of H's chain with base 0..n-1.
-    The elements of level i fix 0..i-1, so the u_gamma whose gamma has the
-    least image under the current g fixes image i greedily, and g -> u*g.
+    ``levels`` come from ``_coset_levels`` of H's chain with base 0..n-1,
+    and ``step`` is the step of the identity. The elements of level i fix
+    0..i-1, so the u_gamma whose gamma has the least image under the
+    current g fixes image i greedily, and g -> u*g. The last step is
+    returned untaken: its maps give the least element's images, in full or
+    at the base alone.
     """
-    for at_orbit, times_u in levels:
-        images = times_u[images.index(min(at_orbit(images)))](images)
-    return images
+    for at_orbit, steps in levels:
+        images = step[0](images)
+        # an orbit of every point has the least image 0
+        step = steps[images.index(0 if at_orbit is None
+                                  else min(at_orbit(images)))]
+    return images, step
 
 
 def coset_action(action: LabeledAction, H: PermGroup) -> LabeledAction:
@@ -287,27 +299,43 @@ def coset_action(action: LabeledAction, H: PermGroup) -> LabeledAction:
     if index > MAX_COSET_INDEX:
         raise ValueError(f"coset index too large: {index} > {MAX_COSET_INDEX}")
 
-    # breadth-first over the cosets, each keyed by its least element's images
-    levels = _coset_levels(h_chain)
-    gen_images = [s.images for s in G.generators]
-    start = _min_coset_rep(levels, Permutation.identity(G.degree).images)
-    targets: dict[tuple, list[tuple]] = {start: []}
-    queue = [start]
+    # Breadth-first over the cosets. Each is keyed by its least element's
+    # images on a base of G, which fix that element, so only a new coset's
+    # representative is formed in full. The identity is the least
+    # permutation, so it represents H. For an involution s, Hr s = Hr'
+    # gives Hr' s = Hr, and that entry is not searched again.
+    base = G._any_chain().base
+    identity = (tuple, _compose_with(base))
+    levels = _coset_levels(h_chain, identity[1])
+    ngens = len(G.generators)
+    generators = [(k, s.images, _is_involution(s))
+                  for k, s in enumerate(G.generators)]
+    reps = {base: Permutation.identity(G.degree).images}
+    targets: dict[tuple, list] = {base: [None] * ngens}
+    queue = [base]
     for r in queue:
-        times_r, row = _compose_with(r), targets[r]
-        for s in gen_images:
-            img = _min_coset_rep(levels, times_r(s))
-            if img not in targets:
-                targets[img] = []
-                queue.append(img)
-            row.append(img)
+        times_r, row = _compose_with(reps[r]), targets[r]
+        for k, s, involution in generators:
+            if row[k] is not None:
+                continue
+            images, (times_u, at_base) = _min_coset_rep(
+                levels, times_r(s), identity)
+            key = at_base(images)
+            if key not in targets:
+                reps[key] = times_u(images)
+                targets[key] = [None] * ngens
+                queue.append(key)
+            row[k] = key
+            if involution:
+                targets[key][k] = r
     if len(targets) != index:
         raise AssertionError("coset enumeration does not match the index")
-    ordered = sorted(targets)
-    pos = {images: i for i, images in enumerate(ordered)}
-    gens = [Permutation(tuple(pos[targets[r][k]] for r in ordered))
-            for k in range(len(G.generators))]
-    points = [Permutation._unchecked(r) for r in ordered]
+    ordered = sorted(targets, key=reps.__getitem__)
+    pos = {key: i for i, key in enumerate(ordered)}
+    rows = [targets[key] for key in ordered]
+    gens = [Permutation(tuple(pos[row[k]] for row in rows))
+            for k in range(ngens)]
+    points = [Permutation._unchecked(reps[key]) for key in ordered]
     return LabeledAction(PermGroup(gens, index),
                          f"{action.label}-cosets-index-{index}", points)
 

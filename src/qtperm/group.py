@@ -197,14 +197,22 @@ def orbit_partition(gens: Sequence[Permutation],
                     points: Iterable[int]) -> list[list[int]]:
     """The orbits of ``<gens>`` through ``points``, in the order first met.
 
-    Each orbit is listed breadth-first from its first point in ``points``.
+    Each orbit is listed breadth-first from its first point in ``points``,
+    in the order ``schreier_tree`` reaches its points.
     """
+    images = [g.images for g in gens]
     seen: set[int] = set()
     parts = []
     for p in points:
         if p not in seen:
-            orbit = list(schreier_tree(gens, p))
-            seen.update(orbit)
+            seen.add(p)
+            orbit = [p]
+            for a in orbit:
+                for g in images:
+                    b = g[a]
+                    if b not in seen:
+                        seen.add(b)
+                        orbit.append(b)
             parts.append(orbit)
     return parts
 

@@ -8,6 +8,10 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 
+# the image type of nearly every permutation, tested before any subclass
+_INT = frozenset([int])
+
+
 @lru_cache(maxsize=None)
 def _identity_images(n: int) -> tuple[int, ...]:
     return tuple(range(n))
@@ -26,12 +30,14 @@ class Permutation:
     def __init__(self, images: Sequence[int]):
         images = tuple(images)
         n = len(images)
-        seen = [False] * n
-        for x in images:
-            if (not isinstance(x, int) or isinstance(x, bool)
-                    or not 0 <= x < n or seen[x]):
-                raise ValueError(f"not a bijection of 0..{n - 1}: {images!r}")
-            seen[x] = True
+        # types first, so that min and max compare only ints; n distinct
+        # ints in 0..n-1 are a bijection
+        if (not (_INT.issuperset(map(type, images))
+                 or all(issubclass(t, int) and not issubclass(t, bool)
+                        for t in set(map(type, images))))
+                or len(set(images)) != n
+                or n and (min(images) < 0 or max(images) >= n)):
+            raise ValueError(f"not a bijection of 0..{n - 1}: {images!r}")
         self.images = images
 
     @staticmethod

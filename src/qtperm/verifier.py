@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 from . import constructions as cons
 from .analysis import (QUASI_TRANSITIVE, ActionReport, QuasiVerdict,
-                       _is_diagonal_sum, _pair_classes, _rows, analyze,
+                       _is_diagonal_sum, _rows, analyze,
                        verdict_from_orders)
 from .analysis import quasi_verdict  # noqa: F401  perfbench traces it here
 from .constructions import LabeledAction
@@ -288,11 +288,13 @@ class OrbitalTable:
 def orbital_table(entry: CatalogEntry, indices: Sequence[int]) -> OrbitalTable:
     """The orbital table of the actions of ``entry`` at ascending ``indices``.
 
-    One diagonal group G acts on the disjoint union of the actions, and the
-    table is filled from the pair classes of G: a class of {a, b} with a in
-    X_i and b in X_j gives |G_ab| to cell (i, j). Raises AssertionError
-    unless the sum is diagonal, G is transitive on each X_i and |G| is the
-    entry's closed-form order.
+    One diagonal group G acts on the disjoint union of the actions, and
+    cell (i, j) is filled from the row of the least point a of X_i: each
+    G_a-orbit O in X_j other than {a} gives |G_a| / |O|. Those are the
+    orders of every pair class meeting X_i and X_j, since G is transitive
+    on X_i, so each such class holds a pair {a, b}, and |G_ab| is constant
+    on a class. Raises AssertionError unless the sum is diagonal, G is
+    transitive on each X_i and |G| is the entry's closed-form order.
     """
     actions = [entry.actions[i] for i in indices]
     G = cons.disjoint_sum(actions).group
@@ -311,8 +313,11 @@ def orbital_table(entry: CatalogEntry, indices: Sequence[int]) -> OrbitalTable:
     block_of = [i for i, a in zip(indices, actions) for _ in range(a.degree)]
     cells: dict[tuple[int, int], set[int]] = {
         (i, j): set() for k, i in enumerate(indices) for j in indices[k:]}
-    for a, b, _, order_ab in _pair_classes(rows):
-        cells[block_of[a], block_of[b]].add(order_ab)
+    for i, row in zip(indices, rows):
+        for part in row.parts:
+            j = block_of[part[0]]
+            if j >= i and part[0] != row.alpha:
+                cells[i, j].add(row.stab_order // len(part))
     return OrbitalTable(
         {key: frozenset(orders) for key, orders in cells.items()},
         {i: row.stab_order for i, row in zip(indices, rows)})

@@ -169,6 +169,27 @@ def brute_pair_classes(generators, degree, order):
     return sorted(classes)
 
 
+def brute_coset_action(generators, subgroup_generators, degree):
+    """The action of <generators> on the right cosets of <subgroup_generators>.
+
+    Every coset Hg is formed in full from the closures of both groups and is
+    represented by its least element's image tuple. Returns each
+    generator's images on the cosets, listed in ascending order of their
+    representatives, and those representatives.
+    """
+    subgroup = brute_elements(subgroup_generators, degree)
+    least = {}  # element images -> its coset's representative
+    for g in brute_elements(generators, degree):
+        if g.images not in least:
+            coset = [(h * g).images for h in subgroup]
+            least.update(dict.fromkeys(coset, min(coset)))
+    reps = sorted(set(least.values()))
+    index = {rep: i for i, rep in enumerate(reps)}
+    gens = [tuple(index[least[(Permutation(rep) * s).images]] for rep in reps)
+            for s in generators]
+    return gens, reps
+
+
 def brute_torus_generator(elements, order):
     """The first of ``elements`` with the given order, by a full scan.
 

@@ -78,6 +78,17 @@ def test_construct_psl2_cosets(capsys):
     assert out.startswith("degree 28\n")
 
 
+def test_construct_help_lists_the_shipped_field_exponents(capsys):
+    code, out, _ = run(capsys, "construct", "--help")
+    assert code == 0
+    assert "field exponent for psl2/pgammal2, one of 2, 3, 4, 5, 6, 7" \
+        in " ".join(out.split())
+    for f in ("1", "8"):
+        code, _, err = run(capsys, "construct", "psl2", "--f", f)
+        assert code == 2
+        assert "shipped: 2, 3, 4, 5, 6, 7" in err
+
+
 def test_construct_sum_pipeline(tmp_path, capsys):
     code, f5, _ = run(capsys, "construct", "frobenius", "--p", "5")
     assert code == 0

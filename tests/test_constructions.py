@@ -1,12 +1,13 @@
 import hashlib
 import json
 import random
+from operator import itemgetter
 
 import pytest
 
-from oracles import (brute_elements, brute_normalizer, brute_order,
-                     brute_torus_generator)
-from qtperm import group, verifier
+from oracles import (brute_coset_action, brute_elements, brute_normalizer,
+                     brute_order, brute_torus_generator)
+from qtperm import constructions, group, verifier
 from qtperm.analysis import is_two_transitive, subdegrees
 from qtperm.constructions import (LabeledAction, _coset_levels,
                                   _min_coset_rep, a7_on_15,
@@ -199,14 +200,18 @@ def _coset_rep_cases():
 
 @pytest.mark.parametrize("name, G, H", _coset_rep_cases())
 def test_min_coset_rep_is_the_lex_least_element_of_the_coset(name, G, H):
-    levels = _coset_levels(
-        build_chain(H.generators, H.degree, tuple(range(H.degree))))
+    points = tuple(range(H.degree))
+    levels = _coset_levels(build_chain(H.generators, H.degree, points),
+                           itemgetter(*points))
     h_elements = brute_elements(H.generators, H.degree)
     g_elements = brute_elements(G.generators, G.degree)
     rng = random.Random(name)
     for g in rng.sample(g_elements, min(len(g_elements), 25)):
         least = min((h * g).images for h in h_elements)
-        assert _min_coset_rep(levels, g.images) == least
+        images, (times_u, at_base) = _min_coset_rep(
+            levels, g.images, (tuple, itemgetter(*points)))
+        # the base here is every point, so both maps give the whole element
+        assert times_u(images) == at_base(images) == least
 
 
 def test_normalizer_of_dihedral_in_pgammal2():
@@ -280,6 +285,64 @@ def test_coset_actions_golden_digest(build, f):
     text = json.dumps([[list(g.images) for g in act.group.generators],
                        [list(p.images) for p in act.points]])
     assert hashlib.sha256(text.encode()).hexdigest() == COSET_DIGESTS[build, f]
+
+
+def _coset_oracle_cases():
+    cases = [("S4-order-2", symmetric_group(4),
+              PermGroup([Permutation.from_cycles(4, [(0, 1)])], 4))]
+    for n in (5, 6):
+        gon = dihedral_group(n)
+        s = gon.group.generators[1]
+        cases += [(f"D{n}-1", gon, PermGroup([Permutation.identity(n)], n)),
+                  (f"D{n}-s", gon, PermGroup([s], n))]
+    cases.append(("A7-GL(3,2)", alternating_group(7), gl32_subgroup()))
+    cases.append(("PSL2(8)-D18", psl2(3), dihedral_2q_plus_2_subgroup(psl2(3))))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("action, H", _coset_oracle_cases())
+def test_coset_action_matches_brute_force(action, H):
+    act = coset_action(action, H)
+    gens, reps = brute_coset_action(action.group.generators, H.generators,
+                                    action.degree)
+    assert [g.images for g in act.group.generators] == gens
+    assert [p.images for p in act.points] == reps
+
+
+def test_coset_enumeration_forms_each_representative_once(monkeypatch):
+    # PSL2(32) on 496 cosets: with keys on G's base only a new coset's
+    # least element is formed in full, and H's is the identity, which is
+    # not formed; pairing the edges of the two involutions among the three
+    # generators leaves 1,008 of the 1,488 (coset, generator) entries to
+    # search
+    formed, searched = [], []
+    levels_of, least_of = constructions._coset_levels, \
+        constructions._min_coset_rep
+
+    def counting_levels(chain, at_base):
+        levels = levels_of(chain, at_base)
+        at_orbit, steps = levels[-1]
+
+        def counted(times_u):
+            def form(images):
+                formed.append(None)
+                return times_u(images)
+            return form
+
+        levels[-1] = (at_orbit, {gamma: (counted(times_u), at_base)
+                                 for gamma, (times_u, at_base)
+                                 in steps.items()})
+        return levels
+
+    def counting_least(*args):
+        searched.append(None)
+        return least_of(*args)
+
+    monkeypatch.setattr(constructions, "_coset_levels", counting_levels)
+    monkeypatch.setattr(constructions, "_min_coset_rep", counting_least)
+    assert psl2_cosets(5).degree == 496
+    assert len(formed) == 495
+    assert len(searched) == 1008
 
 
 def test_coset_action_point_stabilizer_is_subgroup():

@@ -7,7 +7,7 @@ from qtperm import group
 from qtperm.constructions import (alternating_group, pgammal2_cosets, psl2,
                                   psl2_cosets, symmetric_group)
 from qtperm.group import (PermGroup, StabilizerChain, Transversal,
-                          build_chain, schreier_tree)
+                          build_chain, orbit_partition, schreier_tree)
 from qtperm.perm import Permutation
 from qtperm.verifier import SweepConfig, default_catalog
 
@@ -72,6 +72,28 @@ def test_orbit_matches_brute():
     G = PermGroup(gens, 7)
     for p in range(7):
         assert sorted(G.orbit(p)) == brute_orbit(gens, p)
+
+
+def _tree_partition(gens, degree):
+    """Orbits as the keys of one Schreier tree per orbit, as first met."""
+    seen, parts = set(), []
+    for p in range(degree):
+        if p not in seen:
+            orbit = list(schreier_tree(gens, p))
+            seen.update(orbit)
+            parts.append(orbit)
+    return parts
+
+
+def test_orbit_partition_matches_the_schreier_trees():
+    for entry in default_catalog(SweepConfig(include_q32=True)):
+        for action in entry.actions:
+            G = action.group
+            for gens in (G.generators,
+                         G.chain((0,)).generators_fixing(1), []):
+                assert orbit_partition(gens, range(G.degree)) == \
+                    _tree_partition(gens, G.degree), action.label
+    assert orbit_partition([], range(3)) == [[0], [1], [2]]
 
 
 @pytest.mark.parametrize("point", [-1, 4])

@@ -1,3 +1,5 @@
+import enum
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,6 +46,55 @@ def test_init_rejects_non_bijection():
         Permutation((0, 3, 1))
     with pytest.raises(ValueError):
         Permutation((True, False))
+
+
+class Colour(enum.IntEnum):
+    RED = 0
+    GREEN = 1
+
+
+def _loop_accepts(images):
+    """The point-by-point bijection check, the reference for ``__init__``."""
+    seen = [False] * len(images)
+    for x in images:
+        if (not isinstance(x, int) or isinstance(x, bool)
+                or not 0 <= x < len(images) or seen[x]):
+            return False
+        seen[x] = True
+    return True
+
+
+@pytest.mark.parametrize("images, accepted", [
+    pytest.param((True, False), False, id="bool"),
+    pytest.param((1, 0, True), False, id="bool-among-ints"),
+    pytest.param((0.0, 1), False, id="float"),
+    pytest.param(("0", 1), False, id="str"),
+    pytest.param((-1, 0), False, id="negative"),
+    pytest.param((0, 2), False, id="n"),
+    pytest.param((0, 0, 1), False, id="duplicate"),
+    pytest.param((), True, id="empty"),
+    pytest.param((Colour.GREEN, Colour.RED), True, id="IntEnum"),
+    pytest.param((2, 0, 1), True, id="ints"),
+])
+def test_init_validation_table(images, accepted):
+    assert _loop_accepts(images) == accepted
+    if accepted:
+        assert Permutation(images).images == images
+    else:
+        with pytest.raises(ValueError) as raised:
+            Permutation(iter(images))
+        assert str(raised.value) == \
+            f"not a bijection of 0..{len(images) - 1}: {images!r}"
+
+
+@given(st.lists(st.integers(min_value=-1, max_value=6), max_size=6))
+def test_init_accepts_what_the_loop_check_accepts(images):
+    images = tuple(images)
+    if _loop_accepts(images):
+        assert Permutation(images).images == images
+    else:
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation(images)
 
 
 def test_from_cycles_rejects_bad_cycles():

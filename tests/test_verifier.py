@@ -195,6 +195,24 @@ def test_table_rejects_non_diagonal_entry():
             orbital_table(CatalogEntry("S3-quotient", pair, 6), (0, 1))
 
 
+def _pair_class_cells(entry, indices):
+    """The cells of ``orbital_table`` read from every pair class of the sum."""
+    actions = [entry.actions[i] for i in indices]
+    G = disjoint_sum(actions).group
+    block_of = [i for i, a in zip(indices, actions) for _ in range(a.degree)]
+    cells = {(i, j): set() for k, i in enumerate(indices) for j in indices[k:]}
+    for a, b, _, order_ab in analysis._pair_classes(analysis._rows(G)):
+        cells[block_of[a], block_of[b]].add(order_ab)
+    return cells
+
+
+def test_table_cells_match_the_pair_classes():
+    for entry in default_catalog(SweepConfig(include_q32=True)):
+        indices = tuple(range(len(entry.actions)))
+        assert orbital_table(entry, indices).cells == \
+            _pair_class_cells(entry, indices), entry.name
+
+
 def test_catalog_orders_match_the_chains():
     for entry in default_catalog(SweepConfig(include_q32=True)):
         assert entry.order == entry.actions[0].group.order(), entry.name
@@ -273,11 +291,12 @@ def test_dihedral_catalog_actions_are_faithful():
 def test_orbital_table_forms_only_the_transversal_elements_it_reads(
         monkeypatch, name, products):
     # each row chain stops at the known order once level 0's tree exists,
-    # and the paired points are read by preimage, so most level-0 elements
-    # are never formed; forming every one takes 666 and 993 products.  The
-    # first row's from-scratch build also skips the Schreier generators an
-    # involution pairs with one already passed, and sifts strip nothing at
-    # a base point; without both the counts are 123 and 449
+    # and the cells are read from the rows' parts, with no paired point, so
+    # most level-0 elements are never formed; forming every one takes 666
+    # and 993 products.  The first row's from-scratch build also skips the
+    # Schreier generators an involution pairs with one already passed, and
+    # sifts strip nothing at a base point; without both the counts are 123
+    # and 449
     entry = next(e for e in default_catalog(
         SweepConfig(families=("psl",), include_q32=True)) if e.name == name)
     calls = []
