@@ -141,7 +141,7 @@ def _pair_classes(rows: Sequence[_Row]) -> Iterator[tuple[int, int, int, int]]:
                 continue
             pairs = len(transversal) * len(part)
             if b in transversal:
-                paired = transversal.preimage(b, a)
+                paired = transversal[b].images.index(a)
                 joined.add(paired)
                 if paired in part:
                     pairs //= 2

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 from .gf2 import GF2Field
 from .group import PermGroup, _is_involution
-from .perm import Permutation
+from .perm import Permutation, compose_with
 
 INFINITY = "inf"
 # guardrails: both actions have one point per element or coset
@@ -116,15 +116,9 @@ def regular_action(action: LabeledAction) -> LabeledAction:
     if order > MAX_REGULAR_ORDER:
         raise ValueError(f"group too large for regular action: "
                          f"{order} > {MAX_REGULAR_ORDER}")
-    # every element s * u, level by level from the deepest, as image tuples
-    elements = [tuple(range(action.group.degree))]
-    for trans in reversed(action.group.chain().transversals):
-        us = [u.images for u in trans.values()]
-        elements = [times_s(u) for times_s in map(_compose_with, elements)
-                    for u in us]
-    elements.sort()
+    elements = sorted(g.images for g in action.group.elements())
     index = {e: i for i, e in enumerate(elements)}
-    times = [_compose_with(e) for e in elements]
+    times = [compose_with(e) for e in elements]
     gens = [Permutation(tuple(index[times_p(s.images)] for times_p in times))
             for s in action.group.generators]
     group = PermGroup(gens, order)
@@ -236,14 +230,6 @@ def pgammal2(f: int) -> LabeledAction:
                          _projective_points(field))
 
 
-def _compose_with(images: tuple) -> Callable[[tuple], tuple]:
-    """The map from q's images to those of p * q, for p with ``images``."""
-    if len(images) < 2:
-        # itemgetter returns a bare item for one index and needs at least one
-        return lambda other: tuple(other[x] for x in images)
-    return itemgetter(*images)
-
-
 def _coset_levels(chain, at_base: Callable[[tuple], tuple]) -> list:
     """The nontrivial levels of a chain with base 0..n-1, for ``_min_coset_rep``.
 
@@ -254,8 +240,8 @@ def _coset_levels(chain, at_base: Callable[[tuple], tuple]) -> list:
     """
     levels = [trans for trans in chain.transversals if len(trans) > 1]
     return [(None if len(trans) == chain.degree else itemgetter(*trans),
-             {gamma: (_compose_with(u.images),
-                      _compose_with(at_base(u.images))
+             {gamma: (compose_with(u.images),
+                      compose_with(at_base(u.images))
                       if trans is levels[-1] else None)
               for gamma, u in trans.items()})
             for trans in levels]
@@ -305,7 +291,7 @@ def coset_action(action: LabeledAction, H: PermGroup) -> LabeledAction:
     # permutation, so it represents H. For an involution s, Hr s = Hr'
     # gives Hr' s = Hr, and that entry is not searched again.
     base = G._any_chain().base
-    identity = (tuple, _compose_with(base))
+    identity = (tuple, compose_with(base))
     levels = _coset_levels(h_chain, identity[1])
     ngens = len(G.generators)
     generators = [(k, s.images, _is_involution(s))
@@ -314,7 +300,7 @@ def coset_action(action: LabeledAction, H: PermGroup) -> LabeledAction:
     targets: dict[tuple, list] = {base: [None] * ngens}
     queue = [base]
     for r in queue:
-        times_r, row = _compose_with(reps[r]), targets[r]
+        times_r, row = compose_with(reps[r]), targets[r]
         for k, s, involution in generators:
             if row[k] is not None:
                 continue

@@ -10,7 +10,8 @@ from .perm import Permutation
 
 _CYCLE_LINE = re.compile(r"^(\s*\(\s*[0-9\s,]*\))+\s*$")
 _CYCLE = re.compile(r"\(([^()]*)\)")
-_SEPARATOR = re.compile(r"[\s,]+")
+# one comma with optional blanks around it, or a run of blanks
+_SEPARATOR = re.compile(r"\s*,\s*|\s+")
 
 
 class ParseError(ValueError):

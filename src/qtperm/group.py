@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .perm import Permutation
+from .perm import Permutation, compose_with
 
 
 class Transversal(dict):
@@ -23,14 +22,12 @@ class Transversal(dict):
     answer None for a point whose element is not formed yet.
     """
 
-    __slots__ = ("tree", "gens", "_inverses")
+    __slots__ = ("tree", "gens")
 
     def __init__(self, gens: Sequence[Permutation], alpha: int, degree: int):
         super().__init__({alpha: Permutation.identity(degree)})
         self.gens = tuple(gens)
         self.tree = schreier_tree(self.gens, alpha)
-        # inverse images of the generators in self.gens, keyed by id()
-        self._inverses: dict[int, tuple[int, ...]] = {}
 
     def __missing__(self, gamma: int) -> Permutation:
         # iterative: a cyclic group's tree is one path, as deep as its orbit
@@ -63,24 +60,6 @@ class Transversal(dict):
 
     def get(self, gamma: int, default=None):
         return self[gamma] if gamma in self.tree else default
-
-    def preimage(self, gamma: int, x: int) -> int:
-        """u_gamma^-1(x), without forming any element.
-
-        u_gamma = u_a * g, so u_gamma^-1(x) = u_a^-1(g^-1(x)): the walk goes
-        up the tree through the inverse images of each edge's generator
-        until it meets a formed element.  Each generator is inverted once,
-        when a walk first meets it, and looked up by identity, since
-        hashing a permutation reads all its images.
-        """
-        tree, inverses = self.tree, self._inverses
-        while (u := dict.get(self, gamma)) is None:
-            gamma, g = tree[gamma]
-            inverse = inverses.get(id(g))
-            if inverse is None:
-                inverse = inverses[id(g)] = g.inverse().images
-            x = inverse[x]
-        return u.images.index(x)
 
 
 class StabilizerChain:
@@ -147,21 +126,27 @@ class StabilizerChain:
 
         They come in a deterministic chain-enumeration order: s * u for u
         in level ``level``'s transversal by ascending point, and s in the
-        stabilizer of one more base point, enumerated the same way.
+        stabilizer of one more base point, enumerated the same way.  The
+        deeper levels are built once, bottom-up, as one ``compose_with``
+        map per element, so each element costs one product; the elements
+        of level ``level`` itself are formed as they are read.
         """
         if not 0 <= level <= len(self.base):
             raise ValueError(f"level {level} out of range")
+        identity = Permutation.identity(self.degree).images
 
-        def rec(i):
+        def images(i):
             if i == len(self.base):
-                yield Permutation.identity(self.degree)
-                return
-            for gamma in sorted(self.transversals[i]):
-                u = self.transversals[i][gamma]
-                for s in rec(i + 1):
-                    yield s * u
+                return [identity]
+            trans = self.transversals[i]
+            return [trans[gamma].images for gamma in sorted(trans)]
 
-        return rec(level)
+        times = [compose_with(identity)]
+        for i in range(len(self.base) - 1, level, -1):
+            times = [compose_with(times_s(u))
+                     for u in images(i) for times_s in times]
+        return (Permutation._unchecked(times_s(u))
+                for u in images(level) for times_s in times)
 
 
 def schreier_tree(
@@ -187,10 +172,7 @@ def schreier_tree(
 def _is_involution(g: Permutation) -> bool:
     """Whether g * g = 1, read from g's images without a product."""
     p = g.images
-    # itemgetter returns a bare item for one index and needs at least one
-    if len(p) < 2:
-        return True
-    return itemgetter(*p)(p) == Permutation.identity(len(p)).images
+    return compose_with(p)(p) == Permutation.identity(len(p)).images
 
 
 def orbit_partition(gens: Sequence[Permutation],

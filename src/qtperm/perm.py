@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 # the image type of nearly every permutation, tested before any subclass
@@ -15,6 +15,14 @@ _INT = frozenset([int])
 @lru_cache(maxsize=None)
 def _identity_images(n: int) -> tuple[int, ...]:
     return tuple(range(n))
+
+
+def compose_with(images: tuple) -> Callable[[tuple], tuple]:
+    """The map from q's images to those of p * q, for p with ``images``."""
+    if len(images) < 2:
+        # itemgetter returns a bare item for one index and needs at least one
+        return lambda other: tuple(other[x] for x in images)
+    return itemgetter(*images)
 
 
 class Permutation:
@@ -79,11 +87,7 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if len(self.images) != len(other.images):
             raise ValueError("degree mismatch")
-        p, q = self.images, other.images
-        if len(p) < 2:
-            # itemgetter returns a bare item for one index and needs at least one
-            return Permutation._unchecked(tuple(q[x] for x in p))
-        return Permutation._unchecked(itemgetter(*p)(q))
+        return Permutation._unchecked(compose_with(self.images)(other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)

@@ -265,3 +265,21 @@ def plain_schreier_sims(generators, degree, base_prefix=()):
             trans[level] = transversal(level)
         i = j
     return base, strong, trans
+
+
+def chain_elements(chain, level=0):
+    """The elements of a chain's level ``level``, by the recursive enumeration.
+
+    For u in level ``level``'s transversal by ascending point, and s in the
+    elements of the next level enumerated the same way, yield s * u. This is
+    the order ``StabilizerChain.elements`` gives, formed one product per
+    element per level.
+    """
+    if level == len(chain.base):
+        yield Permutation.identity(chain.degree)
+        return
+    trans = chain.transversals[level]
+    for gamma in sorted(trans):
+        u = trans[gamma]
+        for s in chain_elements(chain, level + 1):
+            yield s * u

@@ -4,9 +4,10 @@
 which then stops once its transversal lengths multiply to it, and ``contains``
 sifts its argument forward by base images without inverting it. Both are
 checked here against a fresh ``build_chain`` and against membership in the
-brute-force closure. ``build_chain`` itself skips the Schreier generators it
-can prove trivial and resumes each level's scan; its chains are checked
-against a Schreier-Sims that sifts every one of them.
+brute-force closure. ``StabilizerChain.elements`` is checked against the
+recursive enumeration, element by element. ``build_chain`` itself skips
+the Schreier generators it can prove trivial and resumes each level's scan;
+its chains are checked against a Schreier-Sims that sifts every one of them.
 """
 
 import random
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import CLOSURE_CAP, brute_elements, plain_schreier_sims
+from oracles import (CLOSURE_CAP, brute_elements, chain_elements,
+                     plain_schreier_sims)
 from qtperm.constructions import pgammal2_cosets, psl2_cosets
 from qtperm.group import PermGroup, build_chain
 from qtperm.perm import Permutation
-from qtperm.verifier import default_catalog
+from qtperm.verifier import SweepConfig, default_catalog
 
 
 def _basic_orbits(chain):
@@ -67,6 +69,21 @@ def test_catalog_chains_after_a_cached_chain_match_fresh_builds():
             G.chain(first)
             _assert_matches_fresh(G, second)
             _assert_membership(G, brute_elements(gens, n), rng)
+
+
+def test_chain_elements_match_the_recursive_enumeration():
+    # the coset labels in the goldens read this order, through the torus
+    # search and the sorted elements of the regular actions
+    actions = [a for entry in default_catalog(SweepConfig(include_q32=True))
+               for a in entry.actions if a.group.order() <= 2000]
+    assert len(actions) >= 50
+    chains = [PermGroup(a.group.generators, a.degree).chain(prefix)
+              for a in actions for prefix in ((), (a.degree - 1,))]
+    chains.append(PermGroup([Permutation.identity(1)], 1).chain())
+    for chain in chains:
+        for level in range(len(chain.base) + 1):
+            assert list(chain.elements(level)) == list(
+                chain_elements(chain, level))
 
 
 @st.composite

@@ -162,17 +162,22 @@ def _products(monkeypatch):
 
 
 def test_torus_search_and_coset_enumeration_work(monkeypatch):
-    # PSL2(32): the torus search forms 33 elements outside G_0 (not all
-    # 1,025 up to the first of order 33), and the coset enumeration forms
-    # no Permutation product per coset and generator; the counts include
-    # the chain builds of the group and of D, which skip the Schreier
-    # generators an involution pairs with one already passed, and sifts
-    # strip nothing at a base point; without both the two counts are 507
-    # and 39
+    # PSL2(32): the torus search takes the order of 33 elements outside G_0
+    # (not of all 1,025 up to the first of order 33), and the coset
+    # enumeration forms no Permutation product per coset and generator; the
+    # products are those of the chain builds of the group and of D, which
+    # skip the Schreier generators an involution pairs with one already
+    # passed, and sifts strip nothing at a base point, and one per element
+    # the search examines, since the enumeration composes image tuples
     proj = psl2(5)
     calls = _products(monkeypatch)
+    orders = []
+    order = Permutation.order
+    monkeypatch.setattr(Permutation, "order",
+                        lambda p: orders.append(None) or order(p))
     D = dihedral_2q_plus_2_subgroup(proj)
-    assert len(calls) == 403
+    assert len(orders) == 33
+    assert len(calls) == 337
     calls.clear()
     assert coset_action(proj, D).degree == 496
     assert len(calls) == 38

@@ -69,10 +69,12 @@ def test_error_image_list_not_bijective():
         parse_generators("degree 3\n[1, 1, 2]\n")
 
 
-@pytest.mark.parametrize("cycle", ["(,1 2)", "(1 2,)", "(1 2)(,3)"])
+@pytest.mark.parametrize("cycle", ["(,1 2)", "(1 2,)", "(1 2)(,3)",
+                                   "(1,,2)", "(1 , , 2)"])
 def test_error_separator_at_a_cycle_edge(cycle):
-    # a separator at either end of a cycle leaves an empty token, which
-    # is not a point; between points, commas and blanks are one separator
+    # a separator at either end of a cycle, or a doubled comma, leaves an
+    # empty token, which is not a point; between points a separator is one
+    # comma with optional blanks around it, or a run of blanks
     with pytest.raises(ParseError, match="bad cycle syntax") as exc:
         parse_generators(f"degree 3\n{cycle}\n")
     assert exc.value.line == 2

@@ -282,37 +282,12 @@ def test_level_scans_resume_after_the_last_residue(monkeypatch):
         assert len(sifts) == expected, action.label
 
 
-def _small_catalog_actions():
-    actions = [a for entry in default_catalog(SweepConfig(include_q32=True))
-               for a in entry.actions if a.degree <= 60]
-    return actions + [psl2_cosets(3)]
-
-
 def _unformed(chain):
     """A copy of ``chain`` whose levels hold no formed element but the root."""
     return StabilizerChain(
         chain.degree, chain.base,
         [Transversal(chain.strong_gens[i], b, chain.degree)
          for i, b in enumerate(chain.base)], chain.strong_gens)
-
-
-def test_preimage_inverts_the_transversal_element():
-    actions = _small_catalog_actions()
-    assert len(actions) > 50
-    for action in actions:
-        n = action.degree
-        for prefix in ((), (n - 1,)):
-            for trans in _unformed(PermGroup(action.group.generators, n)
-                                   .chain(prefix)).transversals:
-                pre = {(gamma, x): trans.preimage(gamma, x)
-                       for gamma in trans for x in range(n)}
-                # the walk formed nothing but the root
-                assert dict.__len__(trans) == 1
-                for (gamma, x), y in pre.items():
-                    assert y == trans[gamma].images.index(x), action.label
-                # with every element formed, the walk stops at once
-                assert all(trans.preimage(gamma, x) == y
-                           for (gamma, x), y in pre.items())
 
 
 def test_transversal_reads_its_tree_before_forming_elements():
@@ -378,6 +353,5 @@ def test_deep_tree_forms_its_last_element_without_recursion():
     last = next(reversed(trans.tree))
     assert last == n - 1
     assert trans[last] == c ** (n - 1)
-    assert trans.preimage(last, 0) == 1
     chain = build_chain([c], n, _order=n)
     assert chain.order() == n and chain.contains(c ** 7)

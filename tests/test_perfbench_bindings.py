@@ -75,3 +75,14 @@ def test_diagonality_checks_are_traced_as_faithfulness(tmp_path, capsys):
     assert _faithful_spans(
         lambda: cli.main(["construct", "sum", str(path), str(path)])) == 2
     assert capsys.readouterr().out.startswith("degree 10\n")
+
+
+def test_traced_regular_action_counts_its_chain_and_elements():
+    # the tracer reads StabilizerChain.transversal_sizes, which no qtperm
+    # code calls, and counts the elements that PermGroup.elements yields
+    spans = _load_spans()
+    with spans.Tracer() as tracer:
+        constructions.regular_action(constructions.symmetric_group(4))
+    metrics = tracer.layer_metrics()
+    assert metrics["group.build_chain.transversal_points"] == 9
+    assert metrics["group.elements.yielded"] == 24

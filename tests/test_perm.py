@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtperm.perm import Permutation
+from qtperm.group import PermGroup, _is_involution
+from qtperm.perm import Permutation, compose_with
 
 
 def perms(max_degree=8):
@@ -148,9 +149,13 @@ def test_order_annihilates(p):
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_kernel_at_degrees_zero_and_one(n):
-    # itemgetter-based products need a guard below degree 2
+    # itemgetter-based products need a guard below degree 2; compose_with
+    # holds it for the product, the involution test and the enumeration
     e = Permutation.identity(n)
+    assert compose_with(e.images)(e.images) == tuple(range(n))
     assert (e * e).images == tuple(range(n))
+    assert _is_involution(e)
+    assert list(PermGroup([e], n).elements()) == [e]
     assert e.inverse() == e
     assert e.is_identity()
     assert e ** 5 == e ** -3 == e ** 0 == e
