@@ -8,7 +8,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 from .group import (PermGroup, Transversal, build_chain, orbit_partition,
                     schreier_tree)
-from .perm import Permutation
+from .perm import Permutation, _identity_images
 
 QUASI_TRANSITIVE = "quasi_transitive"
 CONSTANT_ONE = "constant_one"
@@ -192,7 +192,7 @@ def is_faithful_on(G: PermGroup, orbit: Iterable[int]) -> bool:
     order = chain.stabilizer_order_from(1)
     if order == 1:
         return True
-    index = {p: i for i, p in enumerate(pts)}
+    index = dict(zip(pts, _identity_images(len(pts))))
     gens = [Permutation._unchecked(tuple(
         map(index.__getitem__, map(g.images.__getitem__, pts))))
         for g in chain.generators_fixing(1)]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from itertools import combinations
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .gf2 import GF2Field
@@ -239,7 +238,7 @@ def _coset_levels(chain, at_base: Callable[[tuple], tuple]) -> list:
     in full and, on the last level alone, at the points ``at_base`` reads.
     """
     levels = [trans for trans in chain.transversals if len(trans) > 1]
-    return [(None if len(trans) == chain.degree else itemgetter(*trans),
+    return [(trans.at_orbit and trans.at_orbit[1],
              {gamma: (compose_with(u.images),
                       compose_with(at_base(u.images))
                       if trans is levels[-1] else None)

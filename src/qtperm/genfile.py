@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 
 from .group import PermGroup
-from .perm import Permutation
+from .perm import Permutation, _identity_images, compose_with
 
 _CYCLE_LINE = re.compile(r"^(\s*\(\s*[0-9\s,]*\))+\s*$")
 _CYCLE = re.compile(r"\(([^()]*)\)")
@@ -30,27 +30,35 @@ class GeneratorFile:
 def _parse_cycle_line(text: str, degree: int, lineno: int) -> Permutation:
     if not _CYCLE_LINE.match(text):
         raise ParseError(f"bad cycle syntax: {text.strip()!r}", lineno)
-    cycles = []
-    seen: set[int] = set()
+    points: list[int] = []
+    successor: dict[int, int] = {}
+    bad_syntax = False
     for body in _CYCLE.findall(text):
         body = body.strip()
-        if not body:
-            continue
-        try:
-            points = [int(tok) for tok in _SEPARATOR.split(body)]
-        except ValueError:
-            raise ParseError(f"bad cycle syntax: {text.strip()!r}", lineno)
+        if body:
+            try:
+                cycle = list(map(int, _SEPARATOR.split(body)))
+            except ValueError:
+                bad_syntax = True  # raised after the earlier points are checked
+                break
+            points += cycle
+            successor.update(zip(cycle, cycle[1:] + cycle[:1]))
+    if points and (min(points) < 1 or max(points) > degree
+                   or len(successor) != len(points)):
+        seen: set[int] = set()
         for p in points:
             if not 1 <= p <= degree:
                 raise ParseError(f"point {p} outside 1..{degree}", lineno)
             if p in seen:
                 raise ParseError(f"point {p} repeated across cycles", lineno)
             seen.add(p)
-        cycles.append(tuple(p - 1 for p in points))
-    try:
-        return Permutation.from_cycles(degree, cycles)
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno)
+    if bad_syntax:
+        raise ParseError(f"bad cycle syntax: {text.strip()!r}", lineno)
+    # shifted[p] is point p - 1 of the identity's images
+    shifted = (None, *_identity_images(degree))
+    ones = range(1, degree + 1)
+    return Permutation._unchecked(compose_with(
+        tuple(map(successor.get, ones, ones)))(shifted))
 
 
 def _parse_image_line(text: str, degree: int, lineno: int) -> Permutation:

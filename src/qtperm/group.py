@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .perm import Permutation, compose_with
 
@@ -19,15 +19,36 @@ class Transversal(dict):
     whenever it is formed.  The dict itself holds only the elements formed
     so far, so reading one is a C-level lookup.  Hot loops test membership
     on ``tree`` and read with ``t[gamma]``; ``dict.get(t, gamma)`` would
-    answer None for a point whose element is not formed yet.
+    answer None for a point whose element is not formed yet.  A level
+    rebuilt from the ``previous`` Transversal of its point keeps each
+    formed element whose tree edge and parent element are unchanged.
     """
 
-    __slots__ = ("tree", "gens")
+    __slots__ = ("tree", "gens", "_at_orbit")
 
-    def __init__(self, gens: Sequence[Permutation], alpha: int, degree: int):
+    def __init__(self, gens: Sequence[Permutation], alpha: int, degree: int,
+                 previous: "Transversal | None" = None):
         super().__init__({alpha: Permutation.identity(degree)})
         self.gens = tuple(gens)
-        self.tree = schreier_tree(self.gens, alpha)
+        self.tree = tree = schreier_tree(self.gens, alpha)
+        self._at_orbit = False
+        if previous is not None:  # formed parents precede their children
+            for gamma, u in dict.items(previous):
+                edge = tree[gamma]
+                if edge == previous.tree[gamma] and (
+                        edge is None or dict.__contains__(self, edge[0])):
+                    dict.__setitem__(self, gamma, u)
+
+    @property
+    def at_orbit(self) -> tuple[tuple[int, ...], Callable] | None:
+        """The orbit's points and the getter of images there, or None when
+        the orbit is every point; built on the first read."""
+        if self._at_orbit is False:
+            points = tuple(self.tree)
+            self._at_orbit = (
+                None if len(points) == len(self[points[0]].images)
+                else (points, compose_with(points)))
+        return self._at_orbit
 
     def __missing__(self, gamma: int) -> Permutation:
         # iterative: a cyclic group's tree is one path, as deep as its orbit
@@ -86,31 +107,36 @@ class StabilizerChain:
     def transversal_sizes(self) -> tuple[int, ...]:
         return tuple(len(t.tree) for t in self.transversals)
 
-    def sift(self, a: Permutation, b: Permutation,
-             start: int) -> tuple[Permutation, int]:
-        """Strip r = a b^-1 from level ``start``, working on b throughout.
+    def sift(self, a: tuple, b: tuple, start: int) -> tuple[tuple, int]:
+        """Strip r = a b^-1 from level ``start``, a and b given by images.
 
         r(base[i]) is the point b maps to a(base[i]), and stripping r by a
         transversal element u (r -> r u^-1) is b -> u b, so no level inverts
-        anything.  Returns the final b and the level reached; r sifts to 1
-        exactly when that b equals a.
+        anything.  That point is looked for among b's images on the basic
+        orbit only; a miss means it lies outside.  Returns the final b and
+        the level reached; r sifts to 1 exactly when that b equals a.
         """
         base, transversals = self.base, self.transversals
         for i in range(start, len(base)):
             trans = transversals[i]
-            beta = base[i]
-            gamma = b.images.index(a.images[beta])
-            if gamma not in trans.tree:
-                return b, i
-            if gamma != beta:  # u_beta = 1 strips nothing
-                b = trans[gamma] * b
+            at_orbit = trans.at_orbit
+            if at_orbit is None:
+                gamma = b.index(a[base[i]])
+            else:
+                points, at_points = at_orbit
+                try:
+                    gamma = points[at_points(b).index(a[base[i]])]
+                except ValueError:
+                    return b, i
+            if gamma != base[i]:  # u_beta = 1 strips nothing
+                b = compose_with(trans[gamma].images)(b)
         return b, len(base)
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError("degree mismatch")
-        b, _ = self.sift(p, Permutation.identity(self.degree), 0)
-        return b.images == p.images
+        b, _ = self.sift(p.images, Permutation.identity(self.degree).images, 0)
+        return b == p.images
 
     def stabilizer_order_from(self, level: int) -> int:
         """Order of the pointwise stabilizer of ``base[:level]``."""
@@ -293,6 +319,7 @@ def build_chain(
         for n in range(first, len(gammas)):
             gamma = gammas[n]
             edge = tree[gamma]
+            times_u = None
             for k in range(start, len(pairs)):
                 images, g, involution = pairs[k]
                 delta = images[gamma]
@@ -300,14 +327,17 @@ def build_chain(
                     continue
                 if tree[delta] == (gamma, g):
                     continue
-                a = trans[gamma] * g
-                b = trans[delta]
-                if a.images == b.images:
+                if times_u is None:
+                    times_u = compose_with(trans[gamma].images)
+                a = times_u(images)
+                b = trans[delta].images
+                if a == b:
                     continue
                 b, j = chain.sift(a, b, i + 1)
-                if a.images != b.images:
+                if a != b:
                     cursors[i] = (n, k + 1)
-                    return a * b.inverse(), j
+                    return (Permutation._unchecked(a)
+                            * Permutation._unchecked(b).inverse()), j
             start = 0
         return None
 
@@ -332,7 +362,7 @@ def build_chain(
         for level in range(i + 1, j + 1):
             strong[level].append(residue)
             transversals[level] = Transversal(
-                strong[level], chain.base[level], degree)
+                strong[level], chain.base[level], degree, transversals[level])
             cursors[level] = (0, 0)
         i = j
 

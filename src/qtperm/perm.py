@@ -14,6 +14,8 @@ _INT = frozenset([int])
 
 @lru_cache(maxsize=None)
 def _identity_images(n: int) -> tuple[int, ...]:
+    """The ints every image tuple is built from, so that equal images are
+    the same objects and tuple ``==`` and ``index`` compare by identity."""
     return tuple(range(n))
 
 
@@ -46,7 +48,7 @@ class Permutation:
                 or len(set(images)) != n
                 or n and (min(images) < 0 or max(images) >= n)):
             raise ValueError(f"not a bijection of 0..{n - 1}: {images!r}")
-        self.images = images
+        self.images = compose_with(images)(_identity_images(n))
 
     @staticmethod
     def _unchecked(images: tuple) -> "Permutation":
@@ -62,7 +64,8 @@ class Permutation:
     @classmethod
     def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         """Build from disjoint cycles; repeated or out-of-range points raise."""
-        images = list(range(n))
+        identity = _identity_images(n)
+        images = list(identity)
         used = set()
         for cycle in cycles:
             for x in cycle:
@@ -72,9 +75,9 @@ class Permutation:
                     raise ValueError(f"point {x} repeated across cycles")
                 used.add(x)
             for a, b in zip(cycle, cycle[1:]):
-                images[a] = b
+                images[a] = identity[b]
             if cycle:
-                images[cycle[-1]] = cycle[0]
+                images[cycle[-1]] = identity[cycle[0]]
         return cls._unchecked(tuple(images))
 
     @property
@@ -91,7 +94,7 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        for i, j in zip(_identity_images(len(self.images)), self.images):
             inv[j] = i
         return Permutation._unchecked(tuple(inv))
 

@@ -2,13 +2,16 @@
 
 Everything here works by exhaustive enumeration, or for chains by the
 plain textbook algorithm, and deliberately shares no code with the engine
-beyond the Permutation value type.
+beyond the Permutation value type (and, for the cycle-line parser, the
+error type it raises).
 """
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
+from qtperm.genfile import ParseError
 from qtperm.perm import Permutation
 
 CLOSURE_CAP = 10_000
@@ -283,3 +286,36 @@ def chain_elements(chain, level=0):
         u = trans[gamma]
         for s in chain_elements(chain, level + 1):
             yield s * u
+
+
+_CYCLE_LINE = re.compile(r"^(\s*\(\s*[0-9\s,]*\))+\s*$")
+_CYCLE = re.compile(r"\(([^()]*)\)")
+_SEPARATOR = re.compile(r"\s*,\s*|\s+")
+
+
+def parse_cycle_line(text, degree, lineno):
+    """One cycle line of a generator file, read point by point.
+
+    Each cycle's tokens are read as ints, then each point is checked in
+    order: first its range, then whether an earlier point repeats it.
+    """
+    if not _CYCLE_LINE.match(text):
+        raise ParseError(f"bad cycle syntax: {text.strip()!r}", lineno)
+    cycles = []
+    seen = set()
+    for body in _CYCLE.findall(text):
+        body = body.strip()
+        if not body:
+            continue
+        try:
+            points = [int(tok) for tok in _SEPARATOR.split(body)]
+        except ValueError:
+            raise ParseError(f"bad cycle syntax: {text.strip()!r}", lineno)
+        for p in points:
+            if not 1 <= p <= degree:
+                raise ParseError(f"point {p} outside 1..{degree}", lineno)
+            if p in seen:
+                raise ParseError(f"point {p} repeated across cycles", lineno)
+            seen.add(p)
+        cycles.append(tuple(p - 1 for p in points))
+    return Permutation.from_cycles(degree, cycles)

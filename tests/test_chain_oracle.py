@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from oracles import (CLOSURE_CAP, brute_elements, chain_elements,
                      plain_schreier_sims)
 from qtperm.constructions import pgammal2_cosets, psl2_cosets
+from qtperm.genfile import GeneratorFile, format_generators, parse_generators
 from qtperm.group import PermGroup, build_chain
 from qtperm.perm import Permutation
 from qtperm.verifier import SweepConfig, default_catalog
@@ -165,6 +166,31 @@ def test_q32_coset_chains_match_a_scan_that_sifts_every_schreier_generator(
     # two of the three and four generators are involutions
     action = build(5)
     _assert_matches_plain(action.group.generators, action.degree, (0,))
+
+
+def _relabelled_file_text(action, rng):
+    """The action's generators under a random point relabelling, shuffled,
+    as a generator file."""
+    n = action.degree
+    sigma = rng.sample(range(n), n)
+    gens = []
+    for g in action.group.generators:
+        images = [0] * n
+        for x, y in enumerate(g.images):
+            images[sigma[x]] = sigma[y]
+        gens.append(Permutation(images))
+    rng.shuffle(gens)
+    return format_generators(GeneratorFile(n, tuple(gens)))
+
+
+@pytest.mark.parametrize("build", [psl2_cosets, pgammal2_cosets],
+                         ids=["psl2_cosets(5)", "pgammal2_cosets(5)"])
+def test_relabelled_q32_coset_files_match_a_scan_that_sifts_every_one(build):
+    # the shape of a generator file read by analyze: the same actions under
+    # a random labelling, with the generators shuffled
+    rng = random.Random(f"relabelled {build.__name__}")
+    gfile = parse_generators(_relabelled_file_text(build(5), rng))
+    _assert_matches_plain(list(gfile.perms), gfile.degree, (0,))
 
 
 def test_elements_order_does_not_depend_on_cached_chains():

@@ -5,6 +5,7 @@ from operator import itemgetter
 
 import pytest
 
+from counters import count_products
 from oracles import (brute_coset_action, brute_elements, brute_normalizer,
                      brute_order, brute_torus_generator)
 from qtperm import constructions, group, verifier
@@ -149,38 +150,29 @@ def test_torus_search_matches_the_full_scan(f):
     assert c == brute_torus_generator(proj.group.elements(), proj.degree)
 
 
-def _products(monkeypatch):
-    calls = []
-    mul = Permutation.__mul__
-
-    def counting(p, q):
-        calls.append(None)
-        return mul(p, q)
-
-    monkeypatch.setattr(Permutation, "__mul__", counting)
-    return calls
-
-
 def test_torus_search_and_coset_enumeration_work(monkeypatch):
     # PSL2(32): the torus search takes the order of 33 elements outside G_0
     # (not of all 1,025 up to the first of order 33), and the coset
     # enumeration forms no Permutation product per coset and generator; the
-    # products are those of the chain builds of the group and of D, which
+    # products are those of the chain builds of the group and of D (which
     # skip the Schreier generators an involution pairs with one already
-    # passed, and sifts strip nothing at a base point, and one per element
-    # the search examines, since the enumeration composes image tuples
+    # passed, strip nothing at a base point, keep the formed elements that a
+    # rebuilt level's tree reaches the same way, and test 7 generators for
+    # being involutions), 31 for the deeper level of G_0's enumeration, and
+    # two per element the search examines: one as the enumeration yields
+    # s, one for s * u.  The enumeration's 43 hold 5 involution tests
     proj = psl2(5)
-    calls = _products(monkeypatch)
+    calls = count_products(monkeypatch)
     orders = []
     order = Permutation.order
     monkeypatch.setattr(Permutation, "order",
                         lambda p: orders.append(None) or order(p))
     D = dihedral_2q_plus_2_subgroup(proj)
     assert len(orders) == 33
-    assert len(calls) == 337
+    assert len(calls) == 404
     calls.clear()
     assert coset_action(proj, D).degree == 496
-    assert len(calls) == 38
+    assert len(calls) == 43
 
 
 def test_dihedral_subgroup_is_the_torus_normalizer_in_psl2_8():

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import parse_cycle_line
 from qtperm.constructions import psl2, symmetric_group
 from qtperm.genfile import (GeneratorFile, ParseError, file_from_group,
                             format_generators, format_permutation,
@@ -109,3 +112,57 @@ def test_comments_and_blank_lines_ignored():
     gfile = parse_generators(text)
     assert gfile.degree == 2
     assert len(gfile.perms) == 1
+
+
+_SEPARATORS = [" ", ",", ", ", " , ", "\t", "  "]
+
+
+@st.composite
+def cycle_lines(draw):
+    """Cycle lines of distinct points, or with points outside 1..degree or
+    repeated, or with a bad token, separator or character."""
+    degree = draw(st.integers(1, 12))
+    bad_points, bad_syntax = draw(st.booleans()), draw(st.booleans())
+    points = list(draw(st.permutations(range(1, degree + 1))))
+    tokens = [str(p) for p in points[:draw(st.integers(0, degree))]]
+    separators = _SEPARATORS
+    if bad_points:
+        for bad in draw(st.lists(st.sampled_from(
+                ["0", str(degree + 1), "07", *tokens[:1]]), max_size=2)):
+            tokens.insert(draw(st.integers(0, len(tokens))), bad)
+    if bad_syntax:
+        separators = _SEPARATORS + [",,", ""]
+        if draw(st.booleans()):
+            tokens.insert(draw(st.integers(0, len(tokens))), "")
+    parts = []
+    while True:
+        k = draw(st.integers(0, len(tokens)))
+        cycle, tokens = tokens[:k], tokens[k:]
+        body = "".join(draw(st.sampled_from(separators)) + tok if i else tok
+                       for i, tok in enumerate(cycle))
+        pad = st.sampled_from(["", " "])
+        parts.append(draw(pad) + "(" + draw(pad) + body + draw(pad) + ")")
+        if not tokens:
+            break
+    line = "".join(parts)
+    if bad_syntax and draw(st.booleans()):
+        k = draw(st.integers(line.index("(") + 1, len(line)))
+        line = line[:k] + draw(st.sampled_from("()x-+#[")) + line[k:]
+    return degree, line
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycle_lines(), st.integers(0, 3))
+def test_cycle_lines_match_the_point_by_point_parser(case, blank_lines):
+    degree, line = case
+    lineno = blank_lines + 2
+    text = f"degree {degree}\n" + "\n" * blank_lines + line + "\n"
+    try:
+        expected = parse_cycle_line(line.split("#", 1)[0].strip(), degree,
+                                    lineno)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_generators(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    else:
+        assert parse_generators(text).perms == (expected,)

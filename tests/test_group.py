@@ -330,8 +330,8 @@ def test_sift_strips_by_elements_not_formed_yet():
     p = next(g for g in G.elements() if g(chain.base[0]) != chain.base[0])
     # dict.get, which never calls __missing__, would stop at level 0
     assert dict.get(chain.transversals[0], p(chain.base[0])) is None
-    b, level = chain.sift(p, Permutation.identity(G.degree), 0)
-    assert level == len(chain.base) and b == p
+    b, level = chain.sift(p.images, Permutation.identity(G.degree).images, 0)
+    assert level == len(chain.base) and b == p.images
     assert chain.contains(p)
 
 
@@ -339,9 +339,14 @@ def test_sift_stops_at_a_point_outside_the_basic_orbit():
     c = Permutation.from_cycles(4, [(0, 1, 2)])
     chain = PermGroup([c], 4).chain()
     t = Permutation.from_cycles(4, [(0, 3)])
-    b, level = chain.sift(t, Permutation.identity(4), 0)
-    assert (b, level) == (Permutation.identity(4), 0)
+    b, level = chain.sift(t.images, Permutation.identity(4).images, 0)
+    assert (b, level) == (Permutation.identity(4).images, 0)
     assert not chain.contains(t)
+    # the sift looks for the point among the images on the orbit alone
+    points, at_points = chain.transversals[0].at_orbit
+    assert points == (0, 1, 2)
+    assert at_points(t.images) == (3, 1, 2)
+    assert PermGroup([c, t], 4).chain().transversals[0].at_orbit is None
 
 
 def test_deep_tree_forms_its_last_element_without_recursion():
@@ -355,3 +360,28 @@ def test_deep_tree_forms_its_last_element_without_recursion():
     assert trans[last] == c ** (n - 1)
     chain = build_chain([c], n, _order=n)
     assert chain.order() == n and chain.contains(c ** 7)
+
+
+@pytest.mark.parametrize("build", [psl2_cosets, pgammal2_cosets],
+                         ids=["psl2_cosets(3)", "pgammal2_cosets(3)"])
+def test_a_rebuilt_level_keeps_the_elements_its_tree_reaches_the_same_way(
+        build):
+    # a level that gains a strong generator gets a new tree; each element
+    # whose path from the root keeps every edge is the same product
+    action = build(3)
+    gens, n = action.group.generators, action.degree
+    alpha = n - 1
+    old = Transversal(gens[:-1], alpha, n)
+    formed = {gamma: old[gamma] for gamma in old}
+    new = Transversal(gens, alpha, n, old)
+    kept = {alpha}
+    for gamma, edge in new.tree.items():
+        if edge is not None and edge == old.tree.get(gamma) \
+                and edge[0] in kept:
+            kept.add(gamma)
+    assert 1 < len(kept) < len(new)
+    assert set(dict.keys(new)) == kept
+    assert all(dict.__getitem__(new, g) is formed[g] for g in kept - {alpha})
+    fresh = Transversal(gens, alpha, n)
+    assert [u.images for u in new.values()] == \
+        [u.images for u in fresh.values()]

@@ -1,11 +1,15 @@
 import enum
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qtperm.constructions import psl2, psl2_cosets, regular_action
+from qtperm.genfile import (GeneratorFile, format_generators,
+                            parse_generators)
 from qtperm.group import PermGroup, _is_involution
-from qtperm.perm import Permutation, compose_with
+from qtperm.perm import Permutation, _identity_images, compose_with
 
 
 def perms(max_degree=8):
@@ -176,3 +180,32 @@ def test_product_rejects_degree_mismatch(m, n):
 def test_is_identity_compares_every_point():
     assert not Permutation.from_cycles(5, [(3, 4)]).is_identity()
     assert Permutation((0, 1, 2, 3, 4)).is_identity()
+
+
+def _shares_identity_ints(p):
+    identity = _identity_images(p.degree)
+    return all(x is identity[x] for x in p.images)
+
+
+def test_images_share_the_identity_ints():
+    # above 256, CPython makes a new int object for each int computed, so
+    # equal images are the same objects only if they are built from the
+    # identity's items; tuple == and index then stop at the first identical
+    # item instead of comparing values
+    n = 300
+    rng = random.Random(3)
+    images = [int(str(x)) for x in rng.sample(range(n), n)]
+    assert not all(x is _identity_images(n)[x] for x in images)
+    p = Permutation(images)
+    q = Permutation.from_cycles(n, [[int(str(x)) for x in rng.sample(
+        range(n), 50)], [int(str(x)) for x in range(n - 3, n)]])
+    for r in (p, q, p.inverse(), p * q, q * p.inverse(), p ** 3):
+        assert _shares_identity_ints(r)
+    text = format_generators(GeneratorFile(n, (p, q)))
+    image_list = f"degree {n}\n[{', '.join(str(x + 1) for x in images)}]\n"
+    for parsed in (parse_generators(text), parse_generators(image_list)):
+        assert parsed.perms[0] == p
+        assert all(map(_shares_identity_ints, parsed.perms))
+    for action in (psl2_cosets(5), regular_action(psl2(3))):
+        assert action.degree > 256
+        assert all(map(_shares_identity_ints, action.group.generators))

@@ -55,6 +55,9 @@ def _actions():
     yield action_on_k_subsets(alternating_group(7), 2)
     yield psl2_cosets(3)
     yield action_on_k_subsets(symmetric_group(8), 4)
+    # 120 points; PGammaL2(16), with f = 4 composite, has mixed subdegrees
+    yield psl2_cosets(4)
+    yield pgammal2_cosets(4)
     # the paper's largest exhibits, PSL2(32) and PGammaL2(32) on 496 cosets
     yield psl2_cosets(5)
     yield pgammal2_cosets(5)
