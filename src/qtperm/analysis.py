@@ -168,12 +168,6 @@ def _check_invariant(G: PermGroup, orbit: Iterable[int]) -> list[int]:
     return pts
 
 
-def action_kernel(G: PermGroup, orbit: Iterable[int]) -> PermGroup:
-    """Subgroup acting trivially on an invariant set."""
-    pts = _check_invariant(G, orbit)
-    return G.pointwise_stabilizer(pts)
-
-
 def is_faithful_on(G: PermGroup, orbit: Iterable[int]) -> bool:
     """Whether G acts faithfully on an invariant set X.
 

@@ -22,23 +22,15 @@ class LabeledAction:
         points = tuple(points)
         if len(points) != group.degree:
             raise ValueError("one domain object per point required")
-        index = {obj: i for i, obj in enumerate(points)}
-        if len(index) != len(points):
+        if len(set(points)) != len(points):
             raise ValueError("labeling must be a bijection")
         self.group = group
         self.label = label
         self.points = points
-        self._index = index
 
     @property
     def degree(self) -> int:
         return self.group.degree
-
-    def index_of(self, obj: object) -> int:
-        return self._index[obj]
-
-    def object_at(self, i: int) -> object:
-        return self.points[i]
 
     def __repr__(self) -> str:
         return f"<LabeledAction {self.label!r} deg={self.degree}>"

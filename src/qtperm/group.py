@@ -19,25 +19,16 @@ class Transversal(dict):
     whenever it is formed.  The dict itself holds only the elements formed
     so far, so reading one is a C-level lookup.  Hot loops test membership
     on ``tree`` and read with ``t[gamma]``; ``dict.get(t, gamma)`` would
-    answer None for a point whose element is not formed yet.  A level
-    rebuilt from the ``previous`` Transversal of its point keeps each
-    formed element whose tree edge and parent element are unchanged.
+    answer None for a point whose element is not formed yet.
     """
 
     __slots__ = ("tree", "gens", "_at_orbit")
 
-    def __init__(self, gens: Sequence[Permutation], alpha: int, degree: int,
-                 previous: "Transversal | None" = None):
+    def __init__(self, gens: Sequence[Permutation], alpha: int, degree: int):
         super().__init__({alpha: Permutation.identity(degree)})
         self.gens = tuple(gens)
-        self.tree = tree = schreier_tree(self.gens, alpha)
+        self.tree = schreier_tree(self.gens, alpha)
         self._at_orbit = False
-        if previous is not None:  # formed parents precede their children
-            for gamma, u in dict.items(previous):
-                edge = tree[gamma]
-                if edge == previous.tree[gamma] and (
-                        edge is None or dict.__contains__(self, edge[0])):
-                    dict.__setitem__(self, gamma, u)
 
     @property
     def at_orbit(self) -> tuple[tuple[int, ...], Callable] | None:
@@ -362,7 +353,7 @@ def build_chain(
         for level in range(i + 1, j + 1):
             strong[level].append(residue)
             transversals[level] = Transversal(
-                strong[level], chain.base[level], degree, transversals[level])
+                strong[level], chain.base[level], degree)
             cursors[level] = (0, 0)
         i = j
 
@@ -388,27 +379,23 @@ class PermGroup:
         self.degree = degree
         self.generators = gens
         self._chains: dict[tuple[int, ...], StabilizerChain] = {}
-        # a complete chain handed down by the group this one stabilizes in
-        self._seed: StabilizerChain | None = None
 
     def chain(self, base_prefix: Sequence[int] = ()) -> StabilizerChain:
+        """The chain for ``base_prefix``, built to stop at the order of any
+        chain already cached."""
         key = tuple(base_prefix)
         chain = self._chains.get(key)
         if chain is None:
-            known = self._known_chain()
+            known = next(iter(self._chains.values()), None)
             chain = build_chain(
                 self.generators, self.degree, key,
                 _order=None if known is None else known.order())
             self._chains[key] = chain
         return chain
 
-    def _known_chain(self) -> StabilizerChain | None:
-        """A complete chain at hand: any cached one, else the seed."""
-        return next(iter(self._chains.values()), self._seed)
-
     def _any_chain(self) -> StabilizerChain:
-        """A chain at hand, else the chain for ``()``."""
-        return self._known_chain() or self.chain()
+        """A cached chain, else the chain for ``()``."""
+        return next(iter(self._chains.values()), None) or self.chain()
 
     def order(self) -> int:
         return self._any_chain().order()
@@ -416,43 +403,13 @@ class PermGroup:
     def contains(self, p: Permutation) -> bool:
         return self._any_chain().contains(p)
 
-    def orbit(self, alpha: int) -> list[int]:
-        """Orbit of a point, ascending."""
-        if not 0 <= alpha < self.degree:
-            raise ValueError(f"point {alpha} out of range")
-        return sorted(schreier_tree(self.generators, alpha))
-
     def point_stabilizer(self, alpha: int) -> "PermGroup":
+        """G_alpha, generated by the strong generators of the chain for
+        ``(alpha,)`` that fix alpha."""
         if not 0 <= alpha < self.degree:
             raise ValueError(f"point {alpha} out of range")
-        return self.pointwise_stabilizer((alpha,))
-
-    def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
-        """The stabilizer, seeded with the tail of the chain for ``points``.
-
-        The seed answers ``order()`` and ``contains()`` and gives the order
-        to the stabilizer's own chains, which ``chain()`` still builds.
-        """
-        chain = self.chain(tuple(points))
-        k = len(points)
-        gens = chain.generators_fixing(k)
-        if not gens:
-            gens = [Permutation.identity(self.degree)]
-        stabilizer = PermGroup(gens, self.degree)
-        stabilizer._seed = StabilizerChain(
-            self.degree, chain.base[k:], chain.transversals[k:],
-            chain.strong_gens[k:])
-        return stabilizer
-
-    def two_point_stabilizer_order(self, alpha: int, beta: int) -> int:
-        """|G_alpha| / |beta^(G_alpha)|, read from the chain for prefix (alpha,)."""
-        if alpha == beta:
-            raise ValueError("the two points must be distinct")
-        if not 0 <= beta < self.degree:
-            raise ValueError(f"point {beta} out of range")
-        chain = self.chain((alpha,))
-        return chain.stabilizer_order_from(1) // len(
-            schreier_tree(chain.generators_fixing(1), beta))
+        return PermGroup(self.chain((alpha,)).generators_fixing(1)
+                         or [Permutation.identity(self.degree)], self.degree)
 
     def elements(self) -> Iterator[Permutation]:
         return self.chain().elements()

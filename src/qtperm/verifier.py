@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Sequence
 
 from . import constructions as cons
@@ -93,9 +93,7 @@ def lemma_monitor(report: ActionReport) -> list[LemmaViolation]:
             violations.append(LemmaViolation(
                 "faithful-orbits",
                 f"kernel is nontrivial on the orbit at {rep.representative}"))
-    for (ra, da), (rb, db) in combinations_with_replacement(ds, 2):
-        if ra is rb:
-            continue
+    for (ra, da), (rb, db) in combinations(ds, 2):
         if math.gcd(da, db) != 1:
             violations.append(LemmaViolation(
                 "coprime-subdegrees",

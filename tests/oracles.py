@@ -53,6 +53,21 @@ def brute_pair_orders(elements, degree):
     }
 
 
+def brute_action_kernel(generators, degree, points):
+    """The elements of the group that fix every point of an invariant set.
+
+    Raises ValueError for a point out of range or a set that some
+    generator does not map into itself.
+    """
+    points = set(points)
+    if any(not 0 <= p < degree for p in points):
+        raise ValueError("point out of range")
+    if any(g(p) not in points for g in generators for p in points):
+        raise ValueError("set is not invariant under the group")
+    return [g for g in brute_elements(generators, degree)
+            if all(g(p) == p for p in points)]
+
+
 def brute_orbit(generators, point):
     orb = [point]
     seen = {point}

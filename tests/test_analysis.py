@@ -2,15 +2,15 @@ from math import comb
 
 import pytest
 
-from oracles import (brute_elements, brute_is_primitive, brute_pair_classes,
-                     brute_pair_orders,
+from oracles import (brute_action_kernel, brute_elements, brute_is_primitive,
+                     brute_pair_classes, brute_pair_orders,
                      brute_point_stabilizer_order)
 from qtperm import analysis
 from qtperm.analysis import (CONSTANT_ONE, NON_CONSTANT, QUASI_TRANSITIVE,
-                             action_kernel, analyze, is_faithful_on,
-                             is_frobenius, is_primitive, is_three_halves,
-                             is_two_transitive, orbits, pair_class_profile,
-                             quasi_verdict, subdegrees)
+                             analyze, is_faithful_on, is_frobenius,
+                             is_primitive, is_three_halves, is_two_transitive,
+                             orbits, pair_class_profile, quasi_verdict,
+                             subdegrees)
 from qtperm.constructions import (action_on_k_subsets, affine_frobenius,
                                   alternating_group, cyclic_group,
                                   dihedral_group, disjoint_sum,
@@ -111,6 +111,34 @@ def test_pair_classes_match_brute(build):
     _assert_pair_classes_match_brute(build())
 
 
+def _c6_times_c6():
+    # C_6 x C_6 on 6 + 6 points: each of the 3 classes of pairs inside
+    # one orbit is fixed by the other factor, a C_6
+    return PermGroup([Permutation.from_cycles(12, [tuple(range(6))]),
+                      Permutation.from_cycles(12, [tuple(range(6, 12))])], 12)
+
+
+@pytest.mark.parametrize("build, decided", [
+    (lambda: symmetric_group(5).group, [(6, False)]),
+    (_c6_times_c6, [(6, True)] * 6),
+], ids=["S5", "C6xC6"])
+def test_abelian_matches_brute_where_a_chain_decides_it(build, decided):
+    # |G_ab| = 6 is not 1, p or p^2, so a chain decides ``abelian``; the
+    # oracle tests every pair of elements of G_ab for commuting
+    G = build()
+    elements = brute_elements(G.generators, G.degree)
+    seen = []
+    for c in pair_class_profile(G):
+        a, b = c.representative
+        stabilizer = [g for g in elements if g(a) == a and g(b) == b]
+        assert len(stabilizer) == c.stabilizer_order
+        assert c.abelian == all(p * q == q * p
+                                for p in stabilizer for q in stabilizer)
+        if c.stabilizer_order == 6:
+            seen.append((c.stabilizer_order, c.abelian))
+    assert seen == decided
+
+
 def test_action_kernel_direct_product():
     # S_3 x S_3 acting on 3 + 3 points: kernel on the first orbit is the
     # second factor, of order 6
@@ -120,14 +148,14 @@ def test_action_kernel_direct_product():
         gens.append(Permutation(tuple(g.images) + (3, 4, 5)))
         gens.append(Permutation((0, 1, 2) + tuple(x + 3 for x in g.images)))
     G = PermGroup(gens, 6)
-    assert action_kernel(G, [0, 1, 2]).order() == 6
+    assert len(brute_action_kernel(G.generators, 6, [0, 1, 2])) == 6
     assert not is_faithful_on(G, [0, 1, 2])
 
 
 def test_diagonal_sum_is_faithful():
     G = disjoint_sum([symmetric_group(3), symmetric_group(3)]).group
     assert is_faithful_on(G, [0, 1, 2])
-    assert action_kernel(G, [0, 1, 2]).order() == 1
+    assert len(brute_action_kernel(G.generators, 6, [0, 1, 2])) == 1
 
 
 def test_faithful_builds_the_image_chain_bounded_by_the_group_order(
@@ -151,7 +179,9 @@ def test_faithful_builds_the_image_chain_bounded_by_the_group_order(
 def test_kernel_requires_invariant_set():
     G = symmetric_group(4).group
     with pytest.raises(ValueError):
-        action_kernel(G, [0, 1])
+        brute_action_kernel(G.generators, 4, [0, 1])
+    with pytest.raises(ValueError, match="not invariant"):
+        is_faithful_on(G, [0, 1])
 
 
 @pytest.mark.parametrize("point", [-1, 5])
@@ -162,7 +192,7 @@ def test_points_out_of_range_raise(point):
     with pytest.raises(ValueError, match="out of range"):
         is_faithful_on(G, [0, 1, 2, 3, 4, point])
     with pytest.raises(ValueError, match="out of range"):
-        action_kernel(G, [0, 1, 2, 3, 4, point])
+        brute_action_kernel(G.generators, 5, [0, 1, 2, 3, 4, point])
 
 
 def test_two_transitive_examples():

@@ -49,8 +49,8 @@ def test_labeled_action_bijection_enforced():
 def test_labeling_round_trip():
     act = action_on_k_subsets(symmetric_group(4), 2)
     for i in range(act.degree):
-        assert act.index_of(act.object_at(i)) == i
-    assert act.object_at(0) == (0, 1)
+        assert act.points.index(act.points[i]) == i
+    assert act.points[0] == (0, 1)
 
 
 def test_k_subsets_preserves_order_when_faithful():
@@ -156,8 +156,7 @@ def test_torus_search_and_coset_enumeration_work(monkeypatch):
     # enumeration forms no Permutation product per coset and generator; the
     # products are those of the chain builds of the group and of D (which
     # skip the Schreier generators an involution pairs with one already
-    # passed, strip nothing at a base point, keep the formed elements that a
-    # rebuilt level's tree reaches the same way, and test 7 generators for
+    # passed, strip nothing at a base point, and test 7 generators for
     # being involutions), 31 for the deeper level of G_0's enumeration, and
     # two per element the search examines: one as the enumeration yields
     # s, one for s * u.  The enumeration's 43 hold 5 involution tests
@@ -169,7 +168,7 @@ def test_torus_search_and_coset_enumeration_work(monkeypatch):
                         lambda p: orders.append(None) or order(p))
     D = dihedral_2q_plus_2_subgroup(proj)
     assert len(orders) == 33
-    assert len(calls) == 404
+    assert len(calls) == 408
     calls.clear()
     assert coset_action(proj, D).degree == 496
     assert len(calls) == 43
@@ -348,7 +347,8 @@ def test_coset_action_point_stabilizer_is_subgroup():
                    Permutation.from_cycles(4, [(0, 1, 2)])], 4)
     act = coset_action(base, H)
     assert act.degree == 4
-    stab = act.group.point_stabilizer(act.index_of(Permutation.identity(4)))
+    coset = act.points.index(Permutation.identity(4))
+    stab = act.group.point_stabilizer(coset)
     assert stab.order() == H.order() == 6
 
 

@@ -70,8 +70,10 @@ def test_orbit_matches_brute():
     gens = [Permutation.from_cycles(7, [(0, 1, 2)]),
             Permutation.from_cycles(7, [(4, 5)])]
     G = PermGroup(gens, 7)
+    parts = orbit_partition(G.generators, range(7))
     for p in range(7):
-        assert sorted(G.orbit(p)) == brute_orbit(gens, p)
+        assert sorted(schreier_tree(G.generators, p)) == brute_orbit(gens, p)
+        assert sorted(next(o for o in parts if p in o)) == brute_orbit(gens, p)
 
 
 def _tree_partition(gens, degree):
@@ -97,9 +99,9 @@ def test_orbit_partition_matches_the_schreier_trees():
 
 
 @pytest.mark.parametrize("point", [-1, 4])
-def test_orbit_rejects_points_out_of_range(point):
+def test_point_stabilizer_rejects_points_out_of_range(point):
     with pytest.raises(ValueError, match="out of range"):
-        s4().orbit(point)
+        s4().point_stabilizer(point)
 
 
 def test_point_stabilizer_orbit_stabilizer():
@@ -107,27 +109,13 @@ def test_point_stabilizer_orbit_stabilizer():
     stab = G.point_stabilizer(1)
     assert stab.order() == 6
     assert all(g(1) == 1 for g in stab.elements())
-    assert G.order() == stab.order() * len(G.orbit(1))
-
-
-def test_pointwise_stabilizer():
-    G = s4()
-    fix = G.pointwise_stabilizer([0, 1])
-    assert fix.order() == 2
-    assert all(g(0) == 0 and g(1) == 1 for g in fix.elements())
+    assert G.order() == stab.order() * len(schreier_tree(G.generators, 1))
 
 
 def test_two_point_stabilizer_symmetry():
     G = alternating_group(5).group
-    assert (G.two_point_stabilizer_order(0, 3)
-            == G.two_point_stabilizer_order(3, 0) == 3)
-
-
-def test_two_point_stabilizer_rejects_bad_points():
-    G = alternating_group(5).group
-    for alpha, beta in ((0, 0), (0, 5), (5, 0), (-1, 2)):
-        with pytest.raises(ValueError):
-            G.two_point_stabilizer_order(alpha, beta)
+    assert (G.point_stabilizer(0).point_stabilizer(3).order()
+            == G.point_stabilizer(3).point_stabilizer(0).order() == 3)
 
 
 def test_order_invariant_under_base_change():
@@ -172,31 +160,6 @@ def test_elements_from_a_level_are_the_stabilizer_and_open_the_blocks():
 def test_build_chain_rejects_mismatched_degree():
     with pytest.raises(ValueError):
         build_chain([Permutation.identity(3), Permutation.identity(4)], 4)
-
-
-@pytest.mark.parametrize("build, alpha", [
-    (lambda: psl2_cosets(3).group, 5),
-    (lambda: symmetric_group(5).group, 2),
-], ids=["psl2_cosets(3)", "S5"])
-def test_point_stabilizer_reuses_the_chain(monkeypatch, build, alpha):
-    G = build()
-    G.chain((alpha,))
-    orders = []
-    original = group.build_chain
-
-    def counted(*args, **kwargs):
-        orders.append(kwargs.get("_order"))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(group, "build_chain", counted)
-    stab = G.point_stabilizer(alpha)
-    assert stab.order() == G.order() // len(G.orbit(alpha))
-    assert all(stab.contains(g) for g in stab.generators)
-    assert orders == []
-    # the stabilizer's own chains stop at the order its seed gives
-    beta = next(b for b in range(G.degree) if len(stab.orbit(b)) > 1)
-    assert stab.chain((beta,)).order() == stab.order()
-    assert orders == [stab.order()]
 
 
 def test_point_stabilizer_elements_come_from_its_own_chain():
@@ -360,28 +323,3 @@ def test_deep_tree_forms_its_last_element_without_recursion():
     assert trans[last] == c ** (n - 1)
     chain = build_chain([c], n, _order=n)
     assert chain.order() == n and chain.contains(c ** 7)
-
-
-@pytest.mark.parametrize("build", [psl2_cosets, pgammal2_cosets],
-                         ids=["psl2_cosets(3)", "pgammal2_cosets(3)"])
-def test_a_rebuilt_level_keeps_the_elements_its_tree_reaches_the_same_way(
-        build):
-    # a level that gains a strong generator gets a new tree; each element
-    # whose path from the root keeps every edge is the same product
-    action = build(3)
-    gens, n = action.group.generators, action.degree
-    alpha = n - 1
-    old = Transversal(gens[:-1], alpha, n)
-    formed = {gamma: old[gamma] for gamma in old}
-    new = Transversal(gens, alpha, n, old)
-    kept = {alpha}
-    for gamma, edge in new.tree.items():
-        if edge is not None and edge == old.tree.get(gamma) \
-                and edge[0] in kept:
-            kept.add(gamma)
-    assert 1 < len(kept) < len(new)
-    assert set(dict.keys(new)) == kept
-    assert all(dict.__getitem__(new, g) is formed[g] for g in kept - {alpha})
-    fresh = Transversal(gens, alpha, n)
-    assert [u.images for u in new.values()] == \
-        [u.images for u in fresh.values()]

@@ -79,15 +79,15 @@ def test_orbits_subdegrees_and_primitivity_match_sympy(action):
             expected = sorted(len(o) for o in S.stabilizer(alpha).orbits()
                               if o <= set(orbit))
             assert subdegrees(G, alpha) == tuple(expected)
-            # pointwise_stabilizer, not stabilizer(alpha).order(): that one
-            # runs Schreier-Sims on every Schreier generator, about 2 s a
-            # point on PGammaL2(32) on 496 cosets
+            # sympy's pointwise_stabilizer, not its stabilizer(alpha).order():
+            # that one runs Schreier-Sims on every Schreier generator, about
+            # 2 s a point on PGammaL2(32) on 496 cosets
             assert G.point_stabilizer(alpha).order() == \
                 S.pointwise_stabilizer([alpha]).order()
         if len(orbit) < 2:
             continue
         alpha, beta = orbit[-1], orbit[len(orbit) // 3]
-        assert G.two_point_stabilizer_order(alpha, beta) == \
+        assert G.point_stabilizer(alpha).point_stabilizer(beta).order() == \
             S.pointwise_stabilizer([alpha, beta]).order()
         index = {p: i for i, p in enumerate(orbit)}
         restricted = _sympy_group(

@@ -87,6 +87,10 @@ def test_lemma_monitor_flags_synthetic_violation():
     assert "coprime-subdegrees" in rules
     assert "distinct-orbit-sizes" in rules
     assert "order-identity" in rules
+    # one OrbitReport held twice is two orbits, compared by position
+    twice = replace(base, orbit_reports=(r, r),
+                    verdict=QuasiVerdict(QUASI_TRANSITIVE, t=2))
+    assert "distinct-orbit-sizes" in {v.rule for v in lemma_monitor(twice)}
 
 
 def test_default_catalog_families():
@@ -287,17 +291,16 @@ def test_dihedral_catalog_actions_are_faithful():
 
 
 @pytest.mark.parametrize("name, products", [
-    pytest.param("PSL2(8)", 108, id="PSL2(8)"),
-    pytest.param("PSL2(32)", 360, id="PSL2(32)")])
+    pytest.param("PSL2(8)", 113, id="PSL2(8)"),
+    pytest.param("PSL2(32)", 364, id="PSL2(32)")])
 def test_orbital_table_forms_only_the_transversal_elements_it_reads(
         monkeypatch, name, products):
     # each row chain stops at the known order once level 0's tree exists,
     # and the cells are read from the rows' parts, with no paired point, so
     # most level-0 elements are never formed.  The first row's from-scratch
     # build also skips the Schreier generators an involution pairs with one
-    # already passed, sifts strip nothing at a base point, and a rebuilt
-    # level keeps the elements its tree still reaches the same way (5 and
-    # 4 products); the counts hold its 20 and 17 involution tests
+    # already passed and sifts strip nothing at a base point; the counts
+    # hold its 20 and 17 involution tests
     entry = next(e for e in default_catalog(
         SweepConfig(families=("psl",), include_q32=True)) if e.name == name)
     calls = count_products(monkeypatch)
