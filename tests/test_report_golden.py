@@ -2,7 +2,8 @@
 
 Every verdict and report must stay bit-identical while the engine changes;
 these digests pin the documents that `qtperm analyze` and `qtperm verify`
-print (the CLI adds a label to the report and a final newline).
+print (the CLI adds a label to the report and a final newline), the
+stdout of `qtperm verify --only step4` and the three schemas.
 """
 
 import hashlib
@@ -11,12 +12,15 @@ import json
 import pytest
 
 from test_analysis import _with_fixed_points
+from qtperm import cli
 from qtperm.analysis import analyze
 from qtperm.constructions import (action_on_k_subsets, affine_frobenius,
                                   cyclic_group, disjoint_sum, pgammal2_cosets,
                                   psl2_cosets, regular_action, symmetric_group)
-from qtperm.report import action_report_document, sweep_document
-from qtperm.verifier import SweepConfig, sweep
+from qtperm.report import (ACTION_REPORT_SCHEMA, STEP4_SCHEMA, SWEEP_SCHEMA,
+                           action_report_document, sweep_document)
+from qtperm.verifier import (LemmaViolation, SweepConfig, SweepItem,
+                             SweepResult, sweep)
 
 
 def _digest(doc):
@@ -81,3 +85,52 @@ def test_multi_orbit_report_golden_digest(name):
 def test_sweep_golden_digest(name):
     doc = sweep_document(sweep(SWEEP_CONFIGS[name]))
     assert _digest(doc) == SWEEP_DIGESTS[name]
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_step4_stdout_golden_digest(capsys):
+    assert cli.main(["verify", "--only", "step4"]) == 0
+    assert _sha(capsys.readouterr().out) == (
+        "3934a8fc87897c8efa3cf6103c763973101be1e5ebb870b6c53be2837a9539a2")
+
+
+def test_labelled_report_golden_digest():
+    # a non_constant verdict, so the witnesses are written too
+    group = disjoint_sum([cyclic_group(3), cyclic_group(4)]).group
+    doc = action_report_document(analyze(group), label="C3+C4")
+    assert list(doc)[-1] == "label"
+    assert _digest(doc) == (
+        "2dae41e3f6bc4bfe5b33ff917243e5cd82ade3c9a62f43615fa71e15ab4aa312")
+
+
+def test_sweep_with_a_finding_golden_digest():
+    items = [SweepItem("A+B", "constant_one", 1),
+             SweepItem("C+D", "quasi_transitive", None)]
+    result = SweepResult(
+        tested=2, skipped=3, items=items, findings=items[1:],
+        lemma_violations=[LemmaViolation("coprime", "C+D: gcd(4, 6) = 2")])
+    assert _digest(sweep_document(result)) == (
+        "a36b61c192c0ce12d472c8df5ab1d7b43ab7de262bad4c67a5a55f7c170d3ede")
+
+
+# json.dumps(schema, sort_keys=True): the schemas, whatever their key order
+SCHEMA_DIGESTS = {
+    "action_report": (
+        ACTION_REPORT_SCHEMA,
+        "40a662b5b292881bd8ced057b0f31d4f4dc45ad33c81f2805987b5b2f637c4e7"),
+    "sweep": (
+        SWEEP_SCHEMA,
+        "596bde893cbf44907515b76f961b775004402fe52ff507cd8d5b61210fc3ee2f"),
+    "step4": (
+        STEP4_SCHEMA,
+        "98ce9ad68d89e8525efcbcf4ed0a9ffa7a641180e6c158d4ef67f4af0107ef45"),
+}
+
+
+@pytest.mark.parametrize("name", list(SCHEMA_DIGESTS))
+def test_schema_golden_digest(name):
+    schema, digest = SCHEMA_DIGESTS[name]
+    assert _sha(json.dumps(schema, sort_keys=True)) == digest
