@@ -78,7 +78,7 @@ class _Row:
     it. ``transversal`` is level 0 of that chain: its keys are alpha's
     G-orbit, and it maps each b there to a u with u(alpha) = b.
     ``subdegrees`` (ascending, with alpha's own 1) and ``betas`` (least
-    points, without alpha) describe the parts inside an invariant set.
+    points, without alpha) describe the parts inside alpha's G-orbit.
     """
 
     alpha: int
@@ -100,14 +100,11 @@ class _Row:
             d == self.stab_order for d in self.subdegrees[1:])
 
 
-def _row(G: PermGroup, alpha: int,
-         points: Collection[int] | None = None) -> _Row:
-    """The row of alpha on the invariant set ``points`` (default: alpha's orbit)."""
+def _row(G: PermGroup, alpha: int) -> _Row:
     chain = G.chain((alpha,))
     parts = orbit_partition(chain.generators_fixing(1), range(G.degree))
     transversal = chain.transversals[0]
-    inside = transversal if points is None else points
-    own = [part for part in parts if part[0] in inside]
+    own = [part for part in parts if part[0] in transversal]
     return _Row(alpha, chain.stabilizer_order_from(1), parts, transversal,
                 tuple(sorted(len(part) for part in own)),
                 tuple(part[0] for part in own if part[0] != alpha))
@@ -213,7 +210,7 @@ def _classified(G: PermGroup, orbit: Iterable[int]) -> _Row:
     pts = _check_invariant(G, orbit)
     if len(pts) < 2:
         raise ValueError("orbit must have at least 2 points")
-    row = _row(G, pts[0], set(pts))
+    row = _row(G, pts[0])
     if len(row.transversal) != len(pts):  # pts holds the orbit of pts[0]
         raise ValueError("group is not transitive on the given set")
     return row

@@ -181,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "construct":
             return _cmd_construct(args)
         return _cmd_verify(args)
-    except (ParseError, FileNotFoundError, ValueError, SystemExit) as exc:
+    except (ParseError, OSError, ValueError, SystemExit) as exc:
         if isinstance(exc, SystemExit):
             message = str(exc)
         else:

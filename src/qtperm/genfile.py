@@ -9,9 +9,10 @@ from .group import PermGroup
 from .perm import Permutation, _identity_images, compose_with
 
 _CYCLE_LINE = re.compile(r"^(\s*\(\s*[0-9\s,]*\))+\s*$")
-_CYCLE = re.compile(r"\(([^()]*)\)")
-# one comma with optional blanks around it, or a run of blanks
-_SEPARATOR = re.compile(r"\s*,\s*|\s+")
+# a comma with no point between it and the cycle's start, another comma or
+# the cycle's end; between points a separator is one comma with optional
+# blanks around it, or a run of blanks
+_EMPTY_TOKEN = re.compile(r"[(,]\s*,|,\s*\)")
 
 
 class ParseError(ValueError):
@@ -30,19 +31,15 @@ class GeneratorFile:
 def _parse_cycle_line(text: str, degree: int, lineno: int) -> Permutation:
     if not _CYCLE_LINE.match(text):
         raise ParseError(f"bad cycle syntax: {text.strip()!r}", lineno)
+    # an empty token is raised after the points of the cycles before it
+    empty = _EMPTY_TOKEN.search(text)
+    head = text[:text.rfind("(", 0, empty.start() + 1)] if empty else text
     points: list[int] = []
     successor: dict[int, int] = {}
-    bad_syntax = False
-    for body in _CYCLE.findall(text):
-        body = body.strip()
-        if body:
-            try:
-                cycle = list(map(int, _SEPARATOR.split(body)))
-            except ValueError:
-                bad_syntax = True  # raised after the earlier points are checked
-                break
-            points += cycle
-            successor.update(zip(cycle, cycle[1:] + cycle[:1]))
+    for body in head.replace(",", " ").replace(")", "").split("("):
+        cycle = list(map(int, body.split()))
+        points += cycle
+        successor.update(zip(cycle, cycle[1:] + cycle[:1]))
     if points and (min(points) < 1 or max(points) > degree
                    or len(successor) != len(points)):
         seen: set[int] = set()
@@ -52,7 +49,7 @@ def _parse_cycle_line(text: str, degree: int, lineno: int) -> Permutation:
             if p in seen:
                 raise ParseError(f"point {p} repeated across cycles", lineno)
             seen.add(p)
-    if bad_syntax:
+    if empty:
         raise ParseError(f"bad cycle syntax: {text.strip()!r}", lineno)
     # shifted[p] is point p - 1 of the identity's images
     shifted = (None, *_identity_images(degree))

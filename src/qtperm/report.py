@@ -1,6 +1,10 @@
 """JSON report documents with a stable, versioned schema.
 
-Points are 1-based in documents; the engine is 0-based throughout.
+A document's keys are its dataclass's fields, in field order: each record
+is read from ``vars(record)``, and only the values whose form changes are
+written out. The action report's top level names its keys, as its
+``orbit_reports`` are ``orbits``; ``label``, the one optional key, comes
+last. Points are 1-based in documents; the engine is 0-based throughout.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ def _pair(pair):
 
 
 def action_report_document(report: ActionReport, label: str | None = None) -> dict:
+    verdict = report.verdict
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "action_report",
@@ -23,34 +28,22 @@ def action_report_document(report: ActionReport, label: str | None = None) -> di
         "order": report.order,
         "orbits": [
             {
+                **vars(rep),
                 "points": [p + 1 for p in rep.points],
                 "representative": rep.representative + 1,
-                "size": rep.size,
                 "subdegrees": list(rep.subdegrees),
-                "faithful": rep.faithful,
-                "transitive": rep.transitive,
-                "two_transitive": rep.two_transitive,
-                "three_halves": rep.three_halves,
-                "frobenius": rep.frobenius,
-                "primitive": rep.primitive,
             }
             for rep in report.orbit_reports
         ],
         "pair_classes": [
-            {
-                "representative": _pair(c.representative),
-                "size": c.size,
-                "stabilizer_order": c.stabilizer_order,
-                "abelian": c.abelian,
-            }
+            {**vars(c), "representative": _pair(c.representative)}
             for c in report.pair_classes
         ],
         "verdict": {
-            "status": report.verdict.status,
-            "t": report.verdict.t,
+            **vars(verdict),
             "witnesses": (
-                [_pair(w.representative) for w in report.verdict.witnesses]
-                if report.verdict.witnesses else None
+                [_pair(w.representative) for w in verdict.witnesses]
+                if verdict.witnesses else None
             ),
         },
     }
@@ -60,158 +53,103 @@ def action_report_document(report: ActionReport, label: str | None = None) -> di
 
 
 def sweep_document(result: SweepResult) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "sweep",
-        "tested": result.tested,
-        "skipped": result.skipped,
-        "items": [
-            {"label": it.label, "status": it.status, "t": it.t}
-            for it in result.items
-        ],
-        "findings": [
-            {"label": it.label, "status": it.status, "t": it.t}
-            for it in result.findings
-        ],
-        "lemma_violations": [
-            {"rule": v.rule, "detail": v.detail}
-            for v in result.lemma_violations
-        ],
-    }
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "sweep", **vars(result)}
+    for key, value in doc.items():
+        if isinstance(value, list):  # of records
+            doc[key] = [dict(vars(record)) for record in value]
+    return doc
 
 
 def step4_document(record: Step4Record) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "step4",
-        "d1": record.d1,
-        "orbit1_size": record.orbit1_size,
-        "product": record.product,
+        **vars(record),
         "quadratic_roots": sorted(record.quadratic_roots),
-        "orbit2_size": record.orbit2_size,
-        "d2": record.d2,
-        "gcd": record.gcd,
-        "contradiction": record.contradiction,
     }
 
 
-_VERDICT_SCHEMA = {
-    "type": "object",
-    "properties": {
+def _object(properties: dict, optional=()) -> dict:
+    """An object schema that requires every property but the ``optional``."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": [key for key in properties if key not in optional],
+    }
+
+
+ACTION_REPORT_SCHEMA = _object({
+    "schema_version": {"const": SCHEMA_VERSION},
+    "kind": {"const": "action_report"},
+    "degree": {"type": "integer", "minimum": 1},
+    "order": {"type": "integer", "minimum": 1},
+    "label": {"type": "string"},
+    "orbits": {
+        "type": "array",
+        "items": _object({
+            "points": {"type": "array", "items": {"type": "integer"}},
+            "representative": {"type": "integer"},
+            "size": {"type": "integer"},
+            "subdegrees": {"type": "array", "items": {"type": "integer"}},
+            "faithful": {"type": "boolean"},
+            "transitive": {"type": "boolean"},
+            "two_transitive": {"type": "boolean"},
+            "three_halves": {"type": "boolean"},
+            "frobenius": {"type": "boolean"},
+            "primitive": {"type": "boolean"},
+        }),
+    },
+    "pair_classes": {
+        "type": "array",
+        "items": _object({
+            "representative": {"type": "array", "items": {"type": "integer"}},
+            "size": {"type": "integer"},
+            "stabilizer_order": {"type": "integer"},
+            "abelian": {"type": "boolean"},
+        }),
+    },
+    "verdict": _object({
         "status": {"enum": ["quasi_transitive", "constant_one", "non_constant"]},
         "t": {"type": ["integer", "null"]},
         "witnesses": {
             "type": ["array", "null"],
             "items": {"type": "array", "items": {"type": "integer"}},
         },
-    },
-    "required": ["status", "t", "witnesses"],
-}
+    }),
+}, optional=("label",))
 
-ACTION_REPORT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "kind": {"const": "action_report"},
-        "degree": {"type": "integer", "minimum": 1},
-        "order": {"type": "integer", "minimum": 1},
-        "label": {"type": "string"},
-        "orbits": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "points": {"type": "array", "items": {"type": "integer"}},
-                    "representative": {"type": "integer"},
-                    "size": {"type": "integer"},
-                    "subdegrees": {"type": "array", "items": {"type": "integer"}},
-                    "faithful": {"type": "boolean"},
-                    "transitive": {"type": "boolean"},
-                    "two_transitive": {"type": "boolean"},
-                    "three_halves": {"type": "boolean"},
-                    "frobenius": {"type": "boolean"},
-                    "primitive": {"type": "boolean"},
-                },
-                "required": [
-                    "points", "representative", "size", "subdegrees",
-                    "faithful", "transitive", "two_transitive",
-                    "three_halves", "frobenius", "primitive",
-                ],
-            },
-        },
-        "pair_classes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "representative": {
-                        "type": "array", "items": {"type": "integer"},
-                    },
-                    "size": {"type": "integer"},
-                    "stabilizer_order": {"type": "integer"},
-                    "abelian": {"type": "boolean"},
-                },
-                "required": ["representative", "size", "stabilizer_order",
-                             "abelian"],
-            },
-        },
-        "verdict": _VERDICT_SCHEMA,
+SWEEP_SCHEMA = _object({
+    "schema_version": {"const": SCHEMA_VERSION},
+    "kind": {"const": "sweep"},
+    "tested": {"type": "integer"},
+    "skipped": {"type": "integer"},
+    "items": {
+        "type": "array",
+        "items": _object({
+            "label": {"type": "string"},
+            "status": {"type": "string"},
+            "t": {"type": ["integer", "null"]},
+        }),
     },
-    "required": ["schema_version", "kind", "degree", "order", "orbits",
-                 "pair_classes", "verdict"],
-}
+    "findings": {"type": "array"},
+    "lemma_violations": {
+        "type": "array",
+        "items": _object({
+            "rule": {"type": "string"},
+            "detail": {"type": "string"},
+        }),
+    },
+})
 
-SWEEP_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "kind": {"const": "sweep"},
-        "tested": {"type": "integer"},
-        "skipped": {"type": "integer"},
-        "items": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "label": {"type": "string"},
-                    "status": {"type": "string"},
-                    "t": {"type": ["integer", "null"]},
-                },
-                "required": ["label", "status", "t"],
-            },
-        },
-        "findings": {"type": "array"},
-        "lemma_violations": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "rule": {"type": "string"},
-                    "detail": {"type": "string"},
-                },
-                "required": ["rule", "detail"],
-            },
-        },
-    },
-    "required": ["schema_version", "kind", "tested", "skipped", "items",
-                 "findings", "lemma_violations"],
-}
-
-STEP4_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "kind": {"const": "step4"},
-        "d1": {"type": "integer"},
-        "orbit1_size": {"type": "integer"},
-        "product": {"type": "integer"},
-        "quadratic_roots": {"type": "array", "items": {"type": "integer"}},
-        "orbit2_size": {"type": "integer"},
-        "d2": {"type": "integer"},
-        "gcd": {"type": "integer"},
-        "contradiction": {"type": "boolean"},
-    },
-    "required": ["schema_version", "kind", "d1", "orbit1_size", "product",
-                 "quadratic_roots", "orbit2_size", "d2", "gcd",
-                 "contradiction"],
-}
+STEP4_SCHEMA = _object({
+    "schema_version": {"const": SCHEMA_VERSION},
+    "kind": {"const": "step4"},
+    "d1": {"type": "integer"},
+    "orbit1_size": {"type": "integer"},
+    "product": {"type": "integer"},
+    "quadratic_roots": {"type": "array", "items": {"type": "integer"}},
+    "orbit2_size": {"type": "integer"},
+    "d2": {"type": "integer"},
+    "gcd": {"type": "integer"},
+    "contradiction": {"type": "boolean"},
+})

@@ -66,6 +66,17 @@ def test_analyze_missing_file_exit_2(capsys):
     assert err
 
 
+@pytest.mark.parametrize("command", ["analyze", "construct regular",
+                                     "construct sum"])
+def test_unreadable_path_exit_2(tmp_path, capsys, command):
+    # a directory is not a readable file; construct sum reads two paths
+    paths = [str(tmp_path)] * (2 if command.endswith("sum") else 1)
+    code, out, err = run(capsys, *command.split(), *paths)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qtperm: IsADirectoryError: ")
+
+
 def test_unknown_subcommand_exit_2(capsys):
     code, _, _ = run(capsys, "bogus")
     assert code == 2
