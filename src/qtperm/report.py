@@ -41,10 +41,8 @@ def action_report_document(report: ActionReport, label: str | None = None) -> di
         ],
         "verdict": {
             **vars(verdict),
-            "witnesses": (
-                [_pair(w.representative) for w in verdict.witnesses]
-                if verdict.witnesses else None
-            ),
+            "witnesses": [_pair(w.representative) for w in verdict.witnesses]
+            if verdict.witnesses else None,
         },
     }
     if label is not None:
@@ -56,7 +54,8 @@ def sweep_document(result: SweepResult) -> dict:
     doc = {"schema_version": SCHEMA_VERSION, "kind": "sweep", **vars(result)}
     for key, value in doc.items():
         if isinstance(value, list):  # of records
-            doc[key] = [dict(vars(record)) for record in value]
+            # dict(vars(r)) would keep the larger table of an instance dict
+            doc[key] = [dict(vars(record).items()) for record in value]
     return doc
 
 
