@@ -3,7 +3,8 @@
 Everything here works by exhaustive enumeration, or for chains by the
 plain textbook algorithm, and deliberately shares no code with the engine
 beyond the Permutation value type (and, for the cycle-line parser, the
-error type it raises).
+error type it raises, and for the Moebius maps, the field's ``mul`` and
+``inv``).
 """
 
 from __future__ import annotations
@@ -283,6 +284,23 @@ def plain_schreier_sims(generators, degree, base_prefix=()):
             trans[level] = transversal(level)
         i = j
     return base, strong, trans
+
+
+def moebius_images(field, a, b, c, d):
+    """The images of x -> (a x + b) / (c x + d) on the projective line.
+
+    Points 0..q-1 are the elements of ``field`` and q is infinity; a, b, c
+    and d are field elements with a d + b c != 0.  Addition in GF(2^f) is
+    ``^``; products and quotients come from ``field.mul`` and ``field.inv``.
+    """
+    q = field.q
+
+    def ratio(num, den):
+        return q if den == 0 else field.mul(num, field.inv(den))
+
+    finite = [ratio(field.mul(a, x) ^ b, field.mul(c, x) ^ d)
+              for x in range(q)]
+    return tuple(finite + [ratio(a, c)])
 
 
 def chain_elements(chain, level=0):

@@ -7,7 +7,7 @@ import pytest
 
 from counters import count_products
 from oracles import (brute_coset_action, brute_elements, brute_normalizer,
-                     brute_order, brute_torus_generator)
+                     brute_order, brute_torus_generator, moebius_images)
 from qtperm import constructions, group, verifier
 from qtperm.analysis import is_two_transitive, subdegrees
 from qtperm.constructions import (LabeledAction, _coset_levels,
@@ -19,6 +19,7 @@ from qtperm.constructions import (LabeledAction, _coset_levels,
                                   pgammal2, pgammal2_cosets, psl2,
                                   psl2_cosets, regular_action,
                                   subgroup_normalizer, symmetric_group)
+from qtperm.gf2 import IRREDUCIBLE, GF2Field
 from qtperm.group import PermGroup, build_chain
 from qtperm.perm import Permutation
 
@@ -125,6 +126,23 @@ def test_pgammal2_8():
     act = pgammal2(3)
     assert act.degree == 9
     assert act.group.order() == 1512
+
+
+@pytest.mark.parametrize("f", sorted(IRREDUCIBLE))
+def test_projective_generators_match_the_moebius_oracle(f):
+    # x+1, lambda*x and 1/x, then for PGammaL2 the Frobenius x -> x^2,
+    # which is no Moebius map and is written out here
+    field = GF2Field(f)
+    q, lam = field.q, field.primitive_element()
+    moebius = [moebius_images(field, *abcd)
+               for abcd in ((1, 1, 0, 1), (lam, 0, 0, 1), (0, 1, 1, 0))]
+    frobenius = tuple(field.mul(x, x) for x in range(q)) + (q,)
+    points = tuple(range(q)) + ("inf",)
+    for act, label, expected in (
+            (psl2(f), f"PSL2({q})-projective", moebius),
+            (pgammal2(f), f"PGammaL2({q})-projective", moebius + [frobenius])):
+        assert [g.images for g in act.group.generators] == expected
+        assert (act.label, act.points, act.degree) == (label, points, q + 1)
 
 
 def test_dihedral_subgroup_of_psl2_8():
