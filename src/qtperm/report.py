@@ -117,20 +117,22 @@ ACTION_REPORT_SCHEMA = _object({
     }),
 }, optional=("label",))
 
+_SWEEP_ITEMS = {
+    "type": "array",
+    "items": _object({
+        "label": {"type": "string"},
+        "status": {"type": "string"},
+        "t": {"type": ["integer", "null"]},
+    }),
+}
+
 SWEEP_SCHEMA = _object({
     "schema_version": {"const": SCHEMA_VERSION},
     "kind": {"const": "sweep"},
     "tested": {"type": "integer"},
     "skipped": {"type": "integer"},
-    "items": {
-        "type": "array",
-        "items": _object({
-            "label": {"type": "string"},
-            "status": {"type": "string"},
-            "t": {"type": ["integer", "null"]},
-        }),
-    },
-    "findings": {"type": "array"},
+    "items": _SWEEP_ITEMS,
+    "findings": _SWEEP_ITEMS,
     "lemma_violations": {
         "type": "array",
         "items": _object({

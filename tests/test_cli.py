@@ -11,7 +11,8 @@ from qtperm.report import (ACTION_REPORT_SCHEMA, STEP4_SCHEMA, SWEEP_SCHEMA,
                            sweep_document)
 from qtperm.analysis import analyze
 from qtperm.constructions import symmetric_group
-from qtperm.verifier import SweepConfig, default_catalog, step4_check, sweep
+from qtperm.verifier import (SweepConfig, SweepResult, default_catalog,
+                             step4_check, sweep)
 
 
 def run(capsys, *argv):
@@ -219,6 +220,16 @@ def test_report_documents_validate():
     jsonschema.validate(step4_document(step4_check()), STEP4_SCHEMA)
     result = sweep(SweepConfig(max_total_degree=12, families=("cyclic",)))
     jsonschema.validate(sweep_document(result), SWEEP_SCHEMA)
+
+
+def test_sweep_schema_checks_each_finding():
+    doc = sweep_document(SweepResult())
+    doc["findings"] = [{"label": "A+B", "status": "quasi_transitive",
+                        "t": None}]
+    jsonschema.validate(doc, SWEEP_SCHEMA)
+    doc["findings"] = [{"nonsense": 1}]
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, SWEEP_SCHEMA)
 
 
 def test_report_points_are_one_based():

@@ -123,7 +123,7 @@ SCHEMA_DIGESTS = {
         "40a662b5b292881bd8ced057b0f31d4f4dc45ad33c81f2805987b5b2f637c4e7"),
     "sweep": (
         SWEEP_SCHEMA,
-        "596bde893cbf44907515b76f961b775004402fe52ff507cd8d5b61210fc3ee2f"),
+        "3ffcacc233cb0669da03e8666e4aaa677d99f5d158fa4fdf9b44e0647044de61"),
     "step4": (
         STEP4_SCHEMA,
         "98ce9ad68d89e8525efcbcf4ed0a9ffa7a641180e6c158d4ef67f4af0107ef45"),
