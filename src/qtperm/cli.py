@@ -67,10 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the catalog sweep")
     p_verify.add_argument("--only", choices=("step4",),
                           help="run a single named check instead of the sweep")
-    p_verify.add_argument("--max-degree", type=int,
-                          default=_env_int("QTPERM_MAX_DEGREE", 600))
-    p_verify.add_argument("--max-order", type=int,
-                          default=_env_int("QTPERM_MAX_ORDER", 200_000))
+    p_verify.add_argument("--max-degree", type=int)
+    p_verify.add_argument("--max-order", type=int)
     p_verify.add_argument("--include-q32", action="store_true")
     p_verify.add_argument("--triples", action="store_true")
     p_verify.add_argument("--verbose", action="store_true",
@@ -147,13 +145,19 @@ def _print_entry(name: str, tested: int, skipped: int, seconds: float) -> None:
 
 
 def _cmd_verify(args) -> int:
+    # only verify reads the environment, and it rejects a bad value even
+    # where an option or --only leaves it unused
+    max_degree = _env_int("QTPERM_MAX_DEGREE", 600)
+    max_order = _env_int("QTPERM_MAX_ORDER", 200_000)
     if args.only == "step4":
         json.dump(step4_document(step4_check()), sys.stdout, indent=2)
         print()
         return EXIT_OK
     config = SweepConfig(
-        max_total_degree=args.max_degree,
-        max_group_order=args.max_order,
+        max_total_degree=max_degree if args.max_degree is None
+        else args.max_degree,
+        max_group_order=max_order if args.max_order is None
+        else args.max_order,
         include_q32=args.include_q32,
         include_triples=args.triples,
     )
@@ -170,11 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        if exc.code in (0, None):
-            return EXIT_OK
-        if isinstance(exc.code, str):  # a bad QTPERM_MAX_* value
-            print(f"qtperm: {exc.code}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         if args.command == "analyze":
             return _cmd_analyze(args)

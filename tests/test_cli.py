@@ -213,6 +213,21 @@ def test_bad_env_var_exit_2(capsys, monkeypatch, name):
     assert f"bad value for {name}: 'abc'" in err
 
 
+@pytest.mark.parametrize("name", ["QTPERM_MAX_DEGREE", "QTPERM_MAX_ORDER"])
+def test_bad_env_var_leaves_other_commands_alone(tmp_path, capsys,
+                                                 monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run(capsys, "construct", "psl2", "--f", "2")
+    assert (code, err) == (0, "")
+    path = tmp_path / "psl2.gens"
+    path.write_text(out)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["degree"] == 5
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "verify" in out
+
+
 def test_report_documents_validate():
     report = analyze(symmetric_group(4).group)
     jsonschema.validate(action_report_document(report, label="S4"),
