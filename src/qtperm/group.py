@@ -9,7 +9,7 @@ from .perm import Permutation, compose_with
 
 
 class Transversal(dict):
-    """One chain level's Schreier tree, with transversal elements formed on read.
+    """One chain level's generators, Schreier tree, elements and scan.
 
     ``tree`` is ``schreier_tree(gens, alpha)``.  Iteration, ``len`` and
     ``in`` answer from it, in its breadth-first key order, so they cost no
@@ -19,15 +19,17 @@ class Transversal(dict):
     whenever it is formed.  The dict itself holds only the elements formed
     so far, so reading one is a C-level lookup.  Hot loops test membership
     on ``tree`` and read with ``t[gamma]``; ``dict.get(t, gamma)`` would
-    answer None for a point whose element is not formed yet.
+    answer None for a point whose element is not formed yet.  ``scan`` is
+    the (gamma, generator) index pair the level's Schreier scan resumes at.
     """
 
-    __slots__ = ("tree", "gens", "_at_orbit")
+    __slots__ = ("tree", "gens", "scan", "_at_orbit")
 
     def __init__(self, gens: Sequence[Permutation], alpha: int, degree: int):
         super().__init__({alpha: Permutation.identity(degree)})
         self.gens = tuple(gens)
         self.tree = schreier_tree(self.gens, alpha)
+        self.scan = (0, 0)
         self._at_orbit = False
 
     @property
@@ -75,22 +77,25 @@ class Transversal(dict):
 
 
 class StabilizerChain:
-    """A base, per-level transversals and strong generators.
+    """A base and one ``Transversal`` per level.
 
     Level ``i`` stabilizes ``base[:i]``; ``transversals[i]`` is the
     ``Transversal`` of the basic orbit of ``base[i]``, mapping each point
-    ``gamma`` in it to a representative ``u`` with ``u(base[i]) == gamma``.
-    ``strong_gens[i]`` generates the pointwise stabilizer of ``base[:i]``;
-    ``strong_gens[len(base)]`` is always empty.
+    ``gamma`` in it to a representative ``u`` with ``u(base[i]) == gamma``,
+    and its ``gens`` generate the pointwise stabilizer of ``base[:i]``.
     """
 
-    __slots__ = ("degree", "base", "transversals", "strong_gens")
+    __slots__ = ("degree", "base", "transversals")
 
-    def __init__(self, degree, base, transversals, strong_gens):
+    def __init__(self, degree, base, transversals):
         self.degree = degree
         self.base = tuple(base)
         self.transversals = transversals
-        self.strong_gens = strong_gens
+
+    @property
+    def strong_gens(self) -> list[list[Permutation]]:
+        """Each level's generators, then [] for the whole base's stabilizer."""
+        return [list(t.gens) for t in self.transversals] + [[]]
 
     def order(self) -> int:
         return math.prod(len(t.tree) for t in self.transversals)
@@ -134,9 +139,8 @@ class StabilizerChain:
         return math.prod(len(t.tree) for t in self.transversals[level:])
 
     def generators_fixing(self, level: int) -> list[Permutation]:
-        if level >= len(self.strong_gens):
-            return []
-        return list(self.strong_gens[level])
+        return list(self.transversals[level].gens) \
+            if level < len(self.transversals) else []
 
     def elements(self, level: int = 0) -> Iterator[Permutation]:
         """The elements of the pointwise stabilizer of ``base[:level]``.
@@ -247,33 +251,19 @@ def build_chain(
         if not g.is_identity() and g not in gens:
             gens.append(g)
 
+    # each generator's depth: the index of the first base point it moves
     base: list[int] = list(base_prefix)
+    depths = []
     for g in gens:
-        if all(g(b) == b for b in base):
+        depth = next((i for i, b in enumerate(base) if g(b) != b), len(base))
+        if depth == len(base):
             base.append(g.first_moved_point())
+        depths.append(depth)
 
-    if not base:
-        return StabilizerChain(degree, (), [], [[]])
+    transversals = [Transversal([g for g, d in zip(gens, depths) if d >= i],
+                                b, degree) for i, b in enumerate(base)]
+    chain = StabilizerChain(degree, base, transversals)
 
-    def first_moved_base(g: Permutation) -> int:
-        for i, b in enumerate(base):
-            if g(b) != b:
-                return i
-        return len(base)
-
-    strong: list[list[Permutation]] = [[] for _ in range(len(base) + 1)]
-    for g in gens:
-        k = first_moved_base(g)
-        for i in range(k + 1):
-            strong[i].append(g)
-
-    transversals = [Transversal(strong[i], b, degree)
-                    for i, b in enumerate(base)]
-    chain = StabilizerChain(degree, base, transversals, strong)
-
-    # each level's (gamma index, generator index) to resume its scan from,
-    # reset whenever the level gets a new Transversal
-    cursors: list[tuple[int, int]] = [(0, 0) for _ in base]
     # ids of the strong generators that are involutions
     involutions = {id(g) for g in gens if _is_involution(g)}
 
@@ -305,7 +295,7 @@ def build_chain(
         trans = transversals[i]
         tree, gens = trans.tree, trans.gens
         gammas = sorted(tree)
-        first, start = cursors[i]
+        first, start = trans.scan
         pairs = [(g.images, g, id(g) in involutions) for g in gens]
         for n in range(first, len(gammas)):
             gamma = gammas[n]
@@ -326,16 +316,16 @@ def build_chain(
                     continue
                 b, j = chain.sift(a, b, i + 1)
                 if a != b:
-                    cursors[i] = (n, k + 1)
+                    trans.scan = (n, k + 1)
                     return (Permutation._unchecked(a)
                             * Permutation._unchecked(b).inverse()), j
             start = 0
         return None
 
     # Work from the deepest level up; the invariant is that all strictly
-    # deeper levels are complete whenever level i is processed.  Every
-    # change to strong[l] gives level l a new Transversal at once, so each
-    # tree is current whenever its level is read.
+    # deeper levels are complete whenever level i is processed.  A level
+    # that gains a generator is a new Transversal at once, so each tree is
+    # current whenever its level is read, and its scan starts afresh.
     i = len(base) - 1
     while i >= 0 and (_order is None or chain.order() < _order):
         found = first_new_generator(i)
@@ -347,14 +337,11 @@ def build_chain(
             involutions.add(id(residue))
         if j == len(chain.base):
             chain.base += (residue.first_moved_point(),)
-            strong.append([])
-            transversals.append(None)  # replaced below
-            cursors.append((0, 0))
+            transversals.append(Transversal((), chain.base[j], degree))
         for level in range(i + 1, j + 1):
-            strong[level].append(residue)
             transversals[level] = Transversal(
-                strong[level], chain.base[level], degree)
-            cursors[level] = (0, 0)
+                transversals[level].gens + (residue,), chain.base[level],
+                degree)
         i = j
 
     return chain

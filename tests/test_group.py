@@ -247,10 +247,9 @@ def test_level_scans_resume_after_the_last_residue(monkeypatch):
 
 def _unformed(chain):
     """A copy of ``chain`` whose levels hold no formed element but the root."""
-    return StabilizerChain(
-        chain.degree, chain.base,
-        [Transversal(chain.strong_gens[i], b, chain.degree)
-         for i, b in enumerate(chain.base)], chain.strong_gens)
+    levels = [Transversal(t.gens, b, chain.degree)
+              for t, b in zip(chain.transversals, chain.base)]
+    return StabilizerChain(chain.degree, chain.base, levels)
 
 
 def test_transversal_reads_its_tree_before_forming_elements():
