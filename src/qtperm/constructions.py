@@ -169,56 +169,30 @@ def sum_label(actions: Sequence[LabeledAction]) -> str:
     return "sum(" + ", ".join(a.label for a in actions) + ")"
 
 
-def _projective_points(field: GF2Field) -> list[object]:
-    return list(field.elements()) + [INFINITY]
-
-
-def _moebius_perm(field: GF2Field, fn) -> Permutation:
-    """Permutation of PG(1,q) with finite points 0..q-1 and infinity last."""
-    q = field.q
-    images = []
-    for x in list(range(q)) + [INFINITY]:
-        y = fn(x)
-        images.append(q if y == INFINITY else y)
-    return Permutation(tuple(images))
+def _projective_action(f: int, name: str, frobenius: bool) -> LabeledAction:
+    """``name``(q), q = 2^f, on the projective line: points 0..q-1 are the
+    field elements and q is infinity.  The generators are x+1, lambda*x
+    and 1/x, which swaps 0 and infinity, and with ``frobenius`` also x^2."""
+    field = GF2Field(f)
+    q, lam = field.q, field.primitive_element()
+    maps = [[x ^ 1 for x in range(q)] + [q],
+            [field.mul(lam, x) for x in range(q)] + [q],
+            [q] + [field.inv(x) for x in range(1, q)] + [0]]
+    if frobenius:
+        maps.append([field.mul(x, x) for x in range(q)] + [q])
+    gens = [Permutation(images) for images in maps]
+    return LabeledAction(PermGroup(gens, q + 1), f"{name}({q})-projective",
+                         [*range(q), INFINITY])
 
 
 def psl2(f: int) -> LabeledAction:
     """PSL2(q), q = 2^f, on the projective line (q+1 points)."""
-    field = GF2Field(f)
-    q = field.q
-    lam = field.primitive_element()
-
-    def translate(x):
-        return INFINITY if x == INFINITY else field.add(x, 1)
-
-    def scale(x):
-        return INFINITY if x == INFINITY else field.mul(lam, x)
-
-    def invert(x):
-        if x == INFINITY:
-            return 0
-        if x == 0:
-            return INFINITY
-        return field.inv(x)
-
-    gens = [_moebius_perm(field, fn) for fn in (translate, scale, invert)]
-    return LabeledAction(PermGroup(gens, q + 1), f"PSL2({q})-projective",
-                         _projective_points(field))
+    return _projective_action(f, "PSL2", frobenius=False)
 
 
 def pgammal2(f: int) -> LabeledAction:
     """PGammaL2(q) = PSL2(q) extended by the Frobenius map x -> x^2."""
-    base = psl2(f)
-    field = GF2Field(f)
-
-    def frob(x):
-        return INFINITY if x == INFINITY else field.mul(x, x)
-
-    gens = list(base.group.generators) + [_moebius_perm(field, frob)]
-    q = field.q
-    return LabeledAction(PermGroup(gens, q + 1), f"PGammaL2({q})-projective",
-                         _projective_points(field))
+    return _projective_action(f, "PGammaL2", frobenius=True)
 
 
 def _coset_levels(chain, at_base: Callable[[tuple], tuple]) -> list:

@@ -24,12 +24,6 @@ class GF2Field:
         self.q = 1 << f
         self.modulus = IRREDUCIBLE[f]
 
-    def elements(self) -> range:
-        return range(self.q)
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         result = 0
         while b:
