@@ -145,8 +145,8 @@ def _print_entry(name: str, tested: int, skipped: int, seconds: float) -> None:
 
 
 def _cmd_verify(args) -> int:
-    # only verify reads the environment, and it rejects a bad value even
-    # where an option or --only leaves it unused
+    # only verify reads the environment; a bad value exits 2 even where an
+    # option or --only leaves it unused
     max_degree = _env_int("QTPERM_MAX_DEGREE", 600)
     max_order = _env_int("QTPERM_MAX_ORDER", 200_000)
     if args.only == "step4":
