@@ -105,7 +105,7 @@ def _row(G: PermGroup, alpha: int) -> _Row:
     parts = orbit_partition(chain.generators_fixing(1), range(G.degree))
     transversal = chain.transversals[0]
     own = [part for part in parts if part[0] in transversal]
-    return _Row(alpha, chain.stabilizer_order_from(1), parts, transversal,
+    return _Row(alpha, chain.order(1), parts, transversal,
                 tuple(sorted(len(part) for part in own)),
                 tuple(part[0] for part in own if part[0] != alpha))
 
@@ -180,7 +180,7 @@ def is_faithful_on(G: PermGroup, orbit: Iterable[int]) -> bool:
     if not pts:
         return G.order() == 1
     chain = G.chain((pts[0],))
-    order = chain.stabilizer_order_from(1)
+    order = chain.order(1)
     if order == 1:
         return True
     index = dict(zip(pts, _identity_images(len(pts))))
@@ -287,12 +287,15 @@ def _profile(G: PermGroup, rows: Sequence[_Row]) -> tuple[PairClass, ...]:
     """The pair classes read from the rows of every G-orbit.
 
     A chain is built for a two-point stabilizer only to decide ``abelian``,
-    and only when its order is not 1, a prime or a prime squared.
+    and only when its order is not 1, a prime or a prime squared. It is the
+    chain of G_a, from G's chain c for (a,), with base (b,): its build stops
+    at |G_a|, and its generators fixing b generate G_ab.
     """
     return tuple(
         PairClass((a, b), pairs, order_ab, _every_group_abelian(order_ab)
-                  or _is_abelian(G.point_stabilizer(a).point_stabilizer(b)
-                                 .generators))
+                  or _is_abelian(build_chain(
+                      (c := G.chain((a,))).generators_fixing(1), G.degree,
+                      (b,), _order=c.order(1)).generators_fixing(1)))
         for a, b, pairs, order_ab in _pair_classes(rows))
 
 

@@ -9,7 +9,7 @@ from .perm import Permutation, compose_with
 
 
 class Transversal(dict):
-    """One chain level's generators, Schreier tree, elements and scan.
+    """One chain level's generators, Schreier tree and elements.
 
     ``tree`` is ``schreier_tree(gens, alpha)``.  Iteration, ``len`` and
     ``in`` answer from it, in its breadth-first key order, so they cost no
@@ -19,17 +19,15 @@ class Transversal(dict):
     whenever it is formed.  The dict itself holds only the elements formed
     so far, so reading one is a C-level lookup.  Hot loops test membership
     on ``tree`` and read with ``t[gamma]``; ``dict.get(t, gamma)`` would
-    answer None for a point whose element is not formed yet.  ``scan`` is
-    the (gamma, generator) index pair the level's Schreier scan resumes at.
+    answer None for a point whose element is not formed yet.
     """
 
-    __slots__ = ("tree", "gens", "scan", "_at_orbit")
+    __slots__ = ("tree", "gens", "_at_orbit")
 
     def __init__(self, gens: Sequence[Permutation], alpha: int, degree: int):
         super().__init__({alpha: Permutation.identity(degree)})
         self.gens = tuple(gens)
         self.tree = schreier_tree(self.gens, alpha)
-        self.scan = (0, 0)
         self._at_orbit = False
 
     @property
@@ -92,13 +90,9 @@ class StabilizerChain:
         self.base = tuple(base)
         self.transversals = transversals
 
-    @property
-    def strong_gens(self) -> list[list[Permutation]]:
-        """Each level's generators, then [] for the whole base's stabilizer."""
-        return [list(t.gens) for t in self.transversals] + [[]]
-
-    def order(self) -> int:
-        return math.prod(len(t.tree) for t in self.transversals)
+    def order(self, level: int = 0) -> int:
+        """Order of the pointwise stabilizer of ``base[:level]``."""
+        return math.prod(len(t.tree) for t in self.transversals[level:])
 
     def transversal_sizes(self) -> tuple[int, ...]:
         return tuple(len(t.tree) for t in self.transversals)
@@ -133,10 +127,6 @@ class StabilizerChain:
             raise ValueError("degree mismatch")
         b, _ = self.sift(p.images, Permutation.identity(self.degree).images, 0)
         return b == p.images
-
-    def stabilizer_order_from(self, level: int) -> int:
-        """Order of the pointwise stabilizer of ``base[:level]``."""
-        return math.prod(len(t.tree) for t in self.transversals[level:])
 
     def generators_fixing(self, level: int) -> list[Permutation]:
         return list(self.transversals[level].gens) \
@@ -285,24 +275,14 @@ def build_chain(
         gamma is (delta, g), since then u_gamma g = u_delta g g = u_delta.
         A fixed point of g is still tested.  Each skipped pair would have
         sifted to 1, so the residues are those of a scan that tests them.
-
-        The scan resumes after the pair (gamma, g) that gave level i's last
-        residue.  Deeper levels only gain elements until level i changes,
-        so every pair before it still sifts to 1, and so does that pair,
-        whose residue has joined them; the residues found are the same as
-        those of a scan from the least gamma.
         """
         trans = transversals[i]
-        tree, gens = trans.tree, trans.gens
-        gammas = sorted(tree)
-        first, start = trans.scan
-        pairs = [(g.images, g, id(g) in involutions) for g in gens]
-        for n in range(first, len(gammas)):
-            gamma = gammas[n]
+        tree = trans.tree
+        pairs = [(g.images, g, id(g) in involutions) for g in trans.gens]
+        for gamma in sorted(tree):
             edge = tree[gamma]
             times_u = None
-            for k in range(start, len(pairs)):
-                images, g, involution = pairs[k]
+            for images, g, involution in pairs:
                 delta = images[gamma]
                 if involution and (delta < gamma or edge == (delta, g)):
                     continue
@@ -316,16 +296,14 @@ def build_chain(
                     continue
                 b, j = chain.sift(a, b, i + 1)
                 if a != b:
-                    trans.scan = (n, k + 1)
                     return (Permutation._unchecked(a)
                             * Permutation._unchecked(b).inverse()), j
-            start = 0
         return None
 
     # Work from the deepest level up; the invariant is that all strictly
     # deeper levels are complete whenever level i is processed.  A level
     # that gains a generator is a new Transversal at once, so each tree is
-    # current whenever its level is read, and its scan starts afresh.
+    # current whenever its level is read.
     i = len(base) - 1
     while i >= 0 and (_order is None or chain.order() < _order):
         found = first_new_generator(i)

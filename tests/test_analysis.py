@@ -5,7 +5,7 @@ import pytest
 from oracles import (brute_action_kernel, brute_elements, brute_is_primitive,
                      brute_pair_classes, brute_pair_orders,
                      brute_point_stabilizer_order)
-from qtperm import analysis
+from qtperm import analysis, group
 from qtperm.analysis import (CONSTANT_ONE, NON_CONSTANT, QUASI_TRANSITIVE,
                              analyze, is_faithful_on, is_frobenius,
                              is_primitive, is_three_halves, is_two_transitive,
@@ -137,6 +137,21 @@ def test_abelian_matches_brute_where_a_chain_decides_it(build, decided):
         if c.stabilizer_order == 6:
             seen.append((c.stabilizer_order, c.abelian))
     assert seen == decided
+
+
+def test_analyze_builds_one_chain_with_no_known_order(monkeypatch):
+    # only G's first chain runs Schreier-Sims to the end: G's other chains,
+    # the images of each G_a and each G_a with base (b,) that decides
+    # ``abelian`` stop at an order already known
+    unbounded = []
+    for module in (group, analysis):
+        def recording(*args, _build=module.build_chain, **kwargs):
+            unbounded.append(kwargs.get("_order") is None)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(module, "build_chain", recording)
+    analyze(_with_fixed_points())
+    assert sum(unbounded) == 1
 
 
 def test_action_kernel_direct_product():

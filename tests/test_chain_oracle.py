@@ -6,8 +6,8 @@ sifts its argument forward by base images without inverting it. Both are
 checked here against a fresh ``build_chain`` and against membership in the
 brute-force closure. ``StabilizerChain.elements`` is checked against the
 recursive enumeration, element by element. ``build_chain`` itself skips
-the Schreier generators it can prove trivial and resumes each level's scan;
-its chains are checked against a Schreier-Sims that sifts every one of them.
+the Schreier generators it can prove trivial; its chains are checked
+against a Schreier-Sims that sifts every one of them.
 """
 
 import random
@@ -123,8 +123,8 @@ def _assert_matches_plain(gens, n, prefix):
     chain = build_chain(gens, n, prefix)
     base, strong, trans = plain_schreier_sims(gens, n, prefix)
     assert chain.base == tuple(base)
-    assert [[g.images for g in level] for level in chain.strong_gens] == \
-        [[g.images for g in level] for level in strong]
+    assert [[g.images for g in t.gens] for t in chain.transversals] + [[]] \
+        == [[g.images for g in level] for level in strong]
     # the same trees, in the same breadth-first order, with the same elements
     assert [[(gamma, t[gamma].images) for gamma in t]
             for t in chain.transversals] == \

@@ -186,7 +186,7 @@ def test_torus_search_and_coset_enumeration_work(monkeypatch):
                         lambda p: orders.append(None) or order(p))
     D = dihedral_2q_plus_2_subgroup(proj)
     assert len(orders) == 33
-    assert len(calls) == 408
+    assert len(calls) == 414
     calls.clear()
     assert coset_action(proj, D).degree == 496
     assert len(calls) == 43

@@ -173,19 +173,23 @@ def _chain_record(chain):
     return repr((chain.base,
                  [[t[gamma].images for gamma in sorted(t)]
                   for t in chain.transversals],
-                 [[g.images for g in level] for level in chain.strong_gens]))
+                 [[g.images for g in t.gens] for t in chain.transversals]
+                 + [[]]))
+
+
+def _catalog_actions():
+    actions = [a for entry in default_catalog(SweepConfig(include_q32=True))
+               for a in entry.actions]
+    return actions + [psl2_cosets(5), pgammal2_cosets(5)]
 
 
 def test_catalog_chains_are_pinned():
     # elements() order, the dihedral search and so the coset labels read
     # these chains; the digest pins every base, transversal element and
     # strong generator, level by level
-    actions = [a for entry in default_catalog(SweepConfig(include_q32=True))
-               for a in entry.actions]
-    actions += [psl2_cosets(5), pgammal2_cosets(5)]
     digest = hashlib.sha256()
     count = 0
-    for action in actions:
+    for action in _catalog_actions():
         n = action.degree
         G = PermGroup(action.group.generators, n)
         for prefix in ((), (n - 1,)):
@@ -194,6 +198,20 @@ def test_catalog_chains_are_pinned():
     assert count == 216
     assert digest.hexdigest() == (
         "02caa86c6ac021b9fe80b2a4ff1a2dfbd725a00e6ea6f4a538eae1dfa63f83c2")
+
+
+def test_a_known_order_stop_changes_no_chain():
+    # PermGroup.chain and the two-point stabilizers of analyze stop a build
+    # once its order is known; the chain is then that of the full build
+    count = 0
+    for action in _catalog_actions():
+        gens, n = action.group.generators, action.degree
+        for prefix in ((), (n - 1,)):
+            full = build_chain(gens, n, prefix)
+            stopped = build_chain(gens, n, prefix, _order=full.order())
+            assert _chain_record(stopped) == _chain_record(full)
+            count += 1
+    assert count == 216
 
 
 @pytest.mark.parametrize("build", [psl2_cosets, pgammal2_cosets],
@@ -210,7 +228,7 @@ def test_only_new_strong_generators_are_inverted(monkeypatch, build):
 
     monkeypatch.setattr(Permutation, "inverse", counted)
     chain = build_chain(gens, n, (0,))
-    added = ({g.images for level in chain.strong_gens for g in level}
+    added = ({g.images for t in chain.transversals for g in t.gens}
              - {g.images for g in gens})
     assert 0 < len(calls) <= len(added)
     calls.clear()
@@ -221,12 +239,10 @@ def test_only_new_strong_generators_are_inverted(monkeypatch, build):
     assert calls == []
 
 
-def test_level_scans_resume_after_the_last_residue(monkeypatch):
-    # a scan that climbs back to an unchanged level resumes after the
-    # Schreier generator that gave its last residue instead of sifting the
-    # earlier ones again, and skips the generators that an involution pairs
-    # with one already passed; resuming alone takes 553 and 1,055 sifts,
-    # and a scan from the least gamma each time 557 and 1,059
+def test_level_scans_skip_involution_partners(monkeypatch):
+    # each level's scan starts from the least gamma on every visit, and
+    # skips the generators that an involution pairs with one already
+    # passed; a scan that tests them takes 557 and 1,059 sifts
     sifts = []
     original = group.StabilizerChain.sift
 
@@ -235,9 +251,9 @@ def test_level_scans_resume_after_the_last_residue(monkeypatch):
         return original(self, a, b, start)
 
     monkeypatch.setattr(group.StabilizerChain, "sift", counted)
-    for build, order, expected in ((psl2_cosets, 32 * (32 ** 2 - 1), 385),
+    for build, order, expected in ((psl2_cosets, 32 * (32 ** 2 - 1), 389),
                                    (pgammal2_cosets, 5 * 32 * (32 ** 2 - 1),
-                                    815)):
+                                    819)):
         action = build(5)
         sifts.clear()
         chain = build_chain(action.group.generators, action.degree, (0,))

@@ -132,7 +132,7 @@ def test_faithful_on_a_regular_summand():
     s3 = symmetric_group(3)
     G = disjoint_sum([s3, regular_action(s3)]).group
     regular = range(3, 9)
-    assert G.chain((3,)).stabilizer_order_from(1) == 1
+    assert G.chain((3,)).order(1) == 1
     elements = brute_elements(G.generators, G.degree)
     for points in (range(3), regular):
         assert is_faithful_on(G, points) and _brute_faithful(elements, points)

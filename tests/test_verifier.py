@@ -291,8 +291,8 @@ def test_dihedral_catalog_actions_are_faithful():
 
 
 @pytest.mark.parametrize("name, products", [
-    pytest.param("PSL2(8)", 113, id="PSL2(8)"),
-    pytest.param("PSL2(32)", 364, id="PSL2(32)")])
+    pytest.param("PSL2(8)", 121, id="PSL2(8)"),
+    pytest.param("PSL2(32)", 374, id="PSL2(32)")])
 def test_orbital_table_forms_only_the_transversal_elements_it_reads(
         monkeypatch, name, products):
     # each row chain stops at the known order once level 0's tree exists,
