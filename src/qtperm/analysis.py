@@ -75,7 +75,7 @@ class _Row:
     """|G_alpha| and the G_alpha-orbits of the domain, from G's chain for (alpha,).
 
     ``parts`` come in order of their least points, each breadth-first from
-    it. ``transversal`` is level 0 of that chain: its keys are alpha's
+    it. ``transversal`` is level 0 of that chain: its points are alpha's
     G-orbit, and it maps each b there to a u with u(alpha) = b.
     ``subdegrees`` (ascending, with alpha's own 1) and ``betas`` (least
     points, without alpha) describe the parts inside alpha's G-orbit.

@@ -98,6 +98,8 @@ def _cmd_analyze(args) -> int:
 
 def _construct_action(args) -> GeneratorFile:
     name = args.name
+    if args.files and name not in ("regular", "sum"):
+        raise SystemExit(f"construct {name} takes no input files")
     if name == "a7-pairs":
         act = cons.action_on_k_subsets(cons.alternating_group(7), 2)
     elif name == "s7-pairs":

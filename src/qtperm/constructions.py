@@ -205,10 +205,10 @@ def _coset_levels(chain, at_base: Callable[[tuple], tuple]) -> list:
     """
     levels = [trans for trans in chain.transversals if len(trans) > 1]
     return [(trans.at_orbit and trans.at_orbit[1],
-             {gamma: (compose_with(u.images),
-                      compose_with(at_base(u.images))
+             {gamma: (compose_with(trans[gamma].images),
+                      compose_with(at_base(trans[gamma].images))
                       if trans is levels[-1] else None)
-              for gamma, u in trans.items()})
+              for gamma in trans})
             for trans in levels]
 
 

@@ -13,6 +13,8 @@ _CYCLE_LINE = re.compile(r"^(\s*\(\s*[0-9\s,]*\))+\s*$")
 # the cycle's end; between points a separator is one comma with optional
 # blanks around it, or a run of blanks
 _EMPTY_TOKEN = re.compile(r"[(,]\s*,|,\s*\)")
+# comma-separated runs of ASCII digits, each with optional blanks around it
+_IMAGE_LINE = re.compile(r"\[\s*(?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?\]")
 
 
 class ParseError(ValueError):
@@ -59,11 +61,11 @@ def _parse_cycle_line(text: str, degree: int, lineno: int) -> Permutation:
 
 
 def _parse_image_line(text: str, degree: int, lineno: int) -> Permutation:
-    body = text.strip()[1:-1]
-    try:
-        images = [int(tok) for tok in body.split(",")] if body.strip() else []
-    except ValueError:
-        raise ParseError(f"bad image list: {text.strip()!r}", lineno)
+    text = text.strip()
+    if not _IMAGE_LINE.fullmatch(text):
+        raise ParseError(f"bad image list: {text!r}", lineno)
+    body = text[1:-1]
+    images = [int(tok) for tok in body.split(",")] if body.strip() else []
     if len(images) != degree:
         raise ParseError(
             f"image list has {len(images)} entries, expected {degree}", lineno)
@@ -95,8 +97,9 @@ def parse_generators(text: str) -> GeneratorFile:
             if degree <= 0:
                 raise ParseError(f"degree must be positive, got {degree}", lineno)
             continue
-        if line.startswith("label"):
-            label = line[len("label"):].strip() or None
+        m = re.fullmatch(r"label(?:\s+(.*))?", line)
+        if m:
+            label = m.group(1)
             continue
         if line.startswith("("):
             perms.append(_parse_cycle_line(line, degree, lineno))

@@ -8,48 +8,37 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .perm import Permutation, compose_with
 
 
-class Transversal(dict):
-    """One chain level's generators, Schreier tree and elements.
+class Transversal:
+    """One chain level's generators, Schreier tree and formed elements.
 
     ``tree`` is ``schreier_tree(gens, alpha)``.  Iteration, ``len`` and
-    ``in`` answer from it, in its breadth-first key order, so they cost no
+    ``in`` answer from it, in its breadth-first order, so they cost no
     product.  ``t[gamma]`` is the element u_gamma with u_gamma(alpha) =
     gamma: on first read it is formed as u_a * g along the tree edge (a, g)
-    and kept, so each is formed at most once and is the same permutation
-    whenever it is formed.  The dict itself holds only the elements formed
-    so far, so reading one is a C-level lookup.  Hot loops test membership
-    on ``tree`` and read with ``t[gamma]``; ``dict.get(t, gamma)`` would
-    answer None for a point whose element is not formed yet.
+    and kept in ``formed``, so each is formed at most once and is the same
+    permutation whenever it is formed.  A point outside the orbit raises
+    KeyError.  ``at_orbit`` is the orbit's points and the getter of images
+    there, or None when the orbit is every point.
     """
 
-    __slots__ = ("tree", "gens", "_at_orbit")
+    __slots__ = ("tree", "gens", "formed", "at_orbit")
 
     def __init__(self, gens: Sequence[Permutation], alpha: int, degree: int):
-        super().__init__({alpha: Permutation.identity(degree)})
         self.gens = tuple(gens)
         self.tree = schreier_tree(self.gens, alpha)
-        self._at_orbit = False
+        self.formed = {alpha: Permutation.identity(degree)}
+        points = tuple(self.tree)
+        self.at_orbit: tuple[tuple[int, ...], Callable] | None = (
+            None if len(points) == degree else (points, compose_with(points)))
 
-    @property
-    def at_orbit(self) -> tuple[tuple[int, ...], Callable] | None:
-        """The orbit's points and the getter of images there, or None when
-        the orbit is every point; built on the first read."""
-        if self._at_orbit is False:
-            points = tuple(self.tree)
-            self._at_orbit = (
-                None if len(points) == len(self[points[0]].images)
-                else (points, compose_with(points)))
-        return self._at_orbit
-
-    def __missing__(self, gamma: int) -> Permutation:
+    def __getitem__(self, gamma: int) -> Permutation:
         # iterative: a cyclic group's tree is one path, as deep as its orbit
-        tree, path = self.tree, []
-        while (u := dict.get(self, gamma)) is None:
+        formed, tree, path = self.formed, self.tree, []
+        while (u := formed.get(gamma)) is None:
             path.append(gamma)
             gamma = tree[gamma][0]
         for gamma in reversed(path):
-            u = u * tree[gamma][1]
-            dict.__setitem__(self, gamma, u)
+            u = formed[gamma] = u * tree[gamma][1]
         return u
 
     def __len__(self) -> int:
@@ -60,18 +49,6 @@ class Transversal(dict):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.tree)
-
-    def keys(self):
-        return self.tree.keys()
-
-    def values(self) -> Iterator[Permutation]:
-        return map(self.__getitem__, self.tree)
-
-    def items(self) -> Iterator[tuple[int, Permutation]]:
-        return ((gamma, self[gamma]) for gamma in self.tree)
-
-    def get(self, gamma: int, default=None):
-        return self[gamma] if gamma in self.tree else default
 
 
 class StabilizerChain:

@@ -117,6 +117,14 @@ def test_construct_sum_pipeline(tmp_path, capsys):
     assert len(doc["orbits"]) == 2
 
 
+@pytest.mark.parametrize("name", ["a7-pairs", "s7-pairs", "psl2",
+                                  "pgammal2", "frobenius"])
+def test_construct_of_a_named_action_takes_no_input_files(name, capsys):
+    code, out, err = run(capsys, "construct", name, "nonexistent.gens")
+    assert (code, out) == (2, "")
+    assert err == f"qtperm: construct {name} takes no input files\n"
+
+
 def test_construct_sum_needs_two_files(capsys):
     code, _, err = run(capsys, "construct", "sum")
     assert code == 2

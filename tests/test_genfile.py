@@ -85,6 +85,31 @@ def test_error_separator_at_a_cycle_edge(cycle):
         Permutation.from_cycles(3, [(0, 1)]),)
 
 
+@pytest.mark.parametrize("entries", ["1_0, 2, 3", "+2, 1, 3", "\u0662, 1, 3",
+                                     "1, 2,", " , 1, 2", "2 1, 3"])
+def test_error_image_entry_that_is_not_ascii_digits(entries):
+    # the cycle form rejects each of these points as bad cycle syntax
+    with pytest.raises(ParseError, match="bad image list") as exc:
+        parse_generators(f"degree 3\n[{entries}]\n")
+    assert exc.value.line == 2
+    assert parse_generators("degree 3\n[ 2 ,1,\t3 ]\n").perms == (
+        Permutation.from_cycles(3, [(0, 1)]),)
+
+
+@pytest.mark.parametrize("line, label", [("label", None), ("label  ", None),
+                                         ("label x y", "x y"),
+                                         ("label\tK4", "K4")])
+def test_label_keyword_then_blanks_then_text(line, label):
+    assert parse_generators(f"degree 2\n{line}\n(1 2)\n").label == label
+
+
+@pytest.mark.parametrize("line", ["labelled", "labels x", "label:x"])
+def test_error_label_keyword_run_into_text(line):
+    with pytest.raises(ParseError, match="unrecognized line") as exc:
+        parse_generators(f"degree 2\n{line}\n(1 2)\n")
+    assert exc.value.line == 2
+
+
 def test_error_junk_line_reports_position():
     with pytest.raises(ParseError) as exc:
         parse_generators("degree 3\n(1 2)\nhello\n")

@@ -275,18 +275,16 @@ def test_transversal_reads_its_tree_before_forming_elements():
         trans = Transversal(gens, alpha, n)
         tree = schreier_tree(gens, alpha)
         assert list(trans) == list(tree)
-        assert list(trans.keys()) == list(tree)
         assert len(trans) == len(tree)
         assert all((x in trans) == (x in tree) for x in range(-1, n + 1))
-        assert dict.__len__(trans) == 1
+        assert len(trans.formed) == 1
         # forming elements changes none of the answers
         expected = {alpha: Permutation.identity(n)}
         for b, edge in tree.items():
             if edge is not None:
                 expected[b] = expected[edge[0]] * edge[1]
-        assert dict(trans.items()) == expected
+        assert {b: trans[b] for b in trans} == expected
         assert list(trans) == list(tree) and len(trans) == len(tree)
-        assert trans.get(n) is None and trans.get(alpha) == expected[alpha]
 
 
 def test_reading_one_element_forms_only_its_tree_path():
@@ -299,15 +297,24 @@ def test_reading_one_element_forms_only_its_tree_path():
     assert depth > 1
     u = trans[gamma]
     assert u(0) == gamma
-    assert dict.__len__(trans) == depth + 1
+    assert len(trans.formed) == depth + 1
+
+
+def test_reading_a_point_outside_the_orbit_raises_and_forms_nothing():
+    n = 6
+    c = Permutation.from_cycles(n, [(0, 1, 2)])
+    trans = Transversal([c], 0, n)
+    for gamma in (3, n):
+        with pytest.raises(KeyError):
+            trans[gamma]
+    assert trans.formed == {0: Permutation.identity(n)}
 
 
 def test_sift_strips_by_elements_not_formed_yet():
     G = psl2_cosets(3).group
     chain = _unformed(G.chain())
     p = next(g for g in G.elements() if g(chain.base[0]) != chain.base[0])
-    # dict.get, which never calls __missing__, would stop at level 0
-    assert dict.get(chain.transversals[0], p(chain.base[0])) is None
+    assert p(chain.base[0]) not in chain.transversals[0].formed
     b, level = chain.sift(p.images, Permutation.identity(G.degree).images, 0)
     assert level == len(chain.base) and b == p.images
     assert chain.contains(p)
