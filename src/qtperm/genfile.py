@@ -30,7 +30,7 @@ class GeneratorFile:
     label: str | None = None
 
 
-def _parse_cycle_line(text: str, degree: int, lineno: int) -> Permutation:
+def _parse_cycle_line(text: str, degree: int, lineno: int) -> tuple[int, ...]:
     if not _CYCLE_LINE.match(text):
         raise ParseError(f"bad cycle syntax: {text.strip()!r}", lineno)
     # an empty token is raised after the points of the cycles before it
@@ -44,23 +44,26 @@ def _parse_cycle_line(text: str, degree: int, lineno: int) -> Permutation:
         successor.update(zip(cycle, cycle[1:] + cycle[:1]))
     if points and (min(points) < 1 or max(points) > degree
                    or len(successor) != len(points)):
-        seen: set[int] = set()
-        for p in points:
-            if not 1 <= p <= degree:
-                raise ParseError(f"point {p} outside 1..{degree}", lineno)
-            if p in seen:
-                raise ParseError(f"point {p} repeated across cycles", lineno)
-            seen.add(p)
+        _raise_at_bad_point(points, degree, lineno, "across cycles")
     if empty:
         raise ParseError(f"bad cycle syntax: {text.strip()!r}", lineno)
-    # shifted[p] is point p - 1 of the identity's images
-    shifted = (None, *_identity_images(degree))
     ones = range(1, degree + 1)
-    return Permutation._unchecked(compose_with(
-        tuple(map(successor.get, ones, ones)))(shifted))
+    return tuple(map(successor.get, ones, ones))
 
 
-def _parse_image_line(text: str, degree: int, lineno: int) -> Permutation:
+def _raise_at_bad_point(points: list[int], degree: int, lineno: int,
+                        where: str) -> None:
+    """Name the first point outside 1..degree or repeated ``where``."""
+    seen: set[int] = set()
+    for p in points:
+        if not 1 <= p <= degree:
+            raise ParseError(f"point {p} outside 1..{degree}", lineno)
+        if p in seen:
+            raise ParseError(f"point {p} repeated {where}", lineno)
+        seen.add(p)
+
+
+def _parse_image_line(text: str, degree: int, lineno: int) -> tuple[int, ...]:
     text = text.strip()
     if not _IMAGE_LINE.fullmatch(text):
         raise ParseError(f"bad image list: {text!r}", lineno)
@@ -69,13 +72,9 @@ def _parse_image_line(text: str, degree: int, lineno: int) -> Permutation:
     if len(images) != degree:
         raise ParseError(
             f"image list has {len(images)} entries, expected {degree}", lineno)
-    for p in images:
-        if not 1 <= p <= degree:
-            raise ParseError(f"point {p} outside 1..{degree}", lineno)
-    try:
-        return Permutation(tuple(p - 1 for p in images))
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno)
+    if min(images) < 1 or max(images) > degree or len(set(images)) != degree:
+        _raise_at_bad_point(images, degree, lineno, "in the image list")
+    return tuple(images)
 
 
 def parse_generators(text: str) -> GeneratorFile:
@@ -90,7 +89,7 @@ def parse_generators(text: str) -> GeneratorFile:
             continue
         last_line = lineno
         if degree is None:
-            m = re.fullmatch(r"degree\s+(-?\d+)", line)
+            m = re.fullmatch(r"degree\s+(-?[0-9]+)", line)
             if not m:
                 raise ParseError("expected 'degree N' before anything else", lineno)
             degree = int(m.group(1))
@@ -102,11 +101,14 @@ def parse_generators(text: str) -> GeneratorFile:
             label = m.group(1)
             continue
         if line.startswith("("):
-            perms.append(_parse_cycle_line(line, degree, lineno))
+            images = _parse_cycle_line(line, degree, lineno)
         elif line.startswith("[") and line.endswith("]"):
-            perms.append(_parse_image_line(line, degree, lineno))
+            images = _parse_image_line(line, degree, lineno)
         else:
             raise ParseError(f"unrecognized line: {line!r}", lineno)
+        # the images are 1-based and checked; shifted[p] is the shared int p - 1
+        shifted = (None, *_identity_images(degree))
+        perms.append(Permutation._unchecked(compose_with(images)(shifted)))
     if degree is None:
         raise ParseError("missing 'degree N' declaration", last_line + 1)
     if not perms:

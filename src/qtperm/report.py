@@ -5,11 +5,17 @@ is read from ``vars(record)``, and only the values whose form changes are
 written out. The action report's top level names its keys, as its
 ``orbit_reports`` are ``orbits``; ``label``, the one optional key, comes
 last. Points are 1-based in documents; the engine is 0-based throughout.
+The schemas follow from the same fields' annotations and are built on
+first use; ``_FORMS`` holds the few properties whose document form differs.
 """
 
 from __future__ import annotations
 
-from .analysis import ActionReport
+from dataclasses import fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
+
+from .analysis import (CONSTANT_ONE, NON_CONSTANT, QUASI_TRANSITIVE,
+                       ActionReport, QuasiVerdict)
 from .verifier import Step4Record, SweepResult
 
 SCHEMA_VERSION = "1"
@@ -68,89 +74,65 @@ def step4_document(record: Step4Record) -> dict:
     }
 
 
-def _object(properties: dict, optional=()) -> dict:
-    """An object schema that requires every property but the ``optional``."""
-    return {
-        "type": "object",
-        "properties": properties,
-        "required": [key for key in properties if key not in optional],
-    }
-
-
-ACTION_REPORT_SCHEMA = _object({
-    "schema_version": {"const": SCHEMA_VERSION},
-    "kind": {"const": "action_report"},
-    "degree": {"type": "integer", "minimum": 1},
-    "order": {"type": "integer", "minimum": 1},
-    "label": {"type": "string"},
-    "orbits": {
-        "type": "array",
-        "items": _object({
-            "points": {"type": "array", "items": {"type": "integer"}},
-            "representative": {"type": "integer"},
-            "size": {"type": "integer"},
-            "subdegrees": {"type": "array", "items": {"type": "integer"}},
-            "faithful": {"type": "boolean"},
-            "transitive": {"type": "boolean"},
-            "two_transitive": {"type": "boolean"},
-            "three_halves": {"type": "boolean"},
-            "frobenius": {"type": "boolean"},
-            "primitive": {"type": "boolean"},
-        }),
+# the document forms that differ from what a field's annotation gives
+_POSITIVE = {"type": "integer", "minimum": 1}
+_FORMS = {
+    ActionReport: {"degree": _POSITIVE, "order": _POSITIVE},
+    QuasiVerdict: {
+        "status": {"enum": [QUASI_TRANSITIVE, CONSTANT_ONE, NON_CONSTANT]},
+        "witnesses": {"type": ["array", "null"],  # point pairs
+                      "items": {"type": "array", "items": {"type": "integer"}}},
     },
-    "pair_classes": {
-        "type": "array",
-        "items": _object({
-            "representative": {"type": "array", "items": {"type": "integer"}},
-            "size": {"type": "integer"},
-            "stabilizer_order": {"type": "integer"},
-            "abelian": {"type": "boolean"},
-        }),
-    },
-    "verdict": _object({
-        "status": {"enum": ["quasi_transitive", "constant_one", "non_constant"]},
-        "t": {"type": ["integer", "null"]},
-        "witnesses": {
-            "type": ["array", "null"],
-            "items": {"type": "array", "items": {"type": "integer"}},
-        },
-    }),
-}, optional=("label",))
+}
+_KEYS = {"orbit_reports": "orbits"}
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string"}
 
-_SWEEP_ITEMS = {
-    "type": "array",
-    "items": _object({
-        "label": {"type": "string"},
-        "status": {"type": "string"},
-        "t": {"type": ["integer", "null"]},
-    }),
+
+def _schema(hint) -> dict:
+    """The schema of a value annotated ``hint``."""
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        (inner,) = set(args) - {type(None)}
+        schema = _schema(inner)
+        return {**schema, "type": [schema["type"], "null"]}
+    if get_origin(hint) in (tuple, list, set, frozenset):
+        return {"type": "array", "items": _schema(args[0])}
+    if is_dataclass(hint):
+        return _object(hint)
+    return {"type": _JSON_TYPES[hint]}
+
+
+def _object(cls, head=(), optional=()) -> dict:
+    """The schema of ``cls``'s records: ``head``, then its fields, all
+    required in that order, then the ``optional`` properties."""
+    forms = _FORMS.get(cls, {})
+    hints = get_type_hints(cls)
+    properties = dict(head)
+    for f in fields(cls):
+        properties[_KEYS.get(f.name, f.name)] = (
+            forms.get(f.name) or _schema(hints[f.name]))
+    required = list(properties)
+    properties.update(optional)
+    return {"type": "object", "properties": properties, "required": required}
+
+
+_DOCUMENTS = {
+    "ACTION_REPORT_SCHEMA": (ActionReport, "action_report"),
+    "SWEEP_SCHEMA": (SweepResult, "sweep"),
+    "STEP4_SCHEMA": (Step4Record, "step4"),
 }
 
-SWEEP_SCHEMA = _object({
-    "schema_version": {"const": SCHEMA_VERSION},
-    "kind": {"const": "sweep"},
-    "tested": {"type": "integer"},
-    "skipped": {"type": "integer"},
-    "items": _SWEEP_ITEMS,
-    "findings": _SWEEP_ITEMS,
-    "lemma_violations": {
-        "type": "array",
-        "items": _object({
-            "rule": {"type": "string"},
-            "detail": {"type": "string"},
-        }),
-    },
-})
 
-STEP4_SCHEMA = _object({
-    "schema_version": {"const": SCHEMA_VERSION},
-    "kind": {"const": "step4"},
-    "d1": {"type": "integer"},
-    "orbit1_size": {"type": "integer"},
-    "product": {"type": "integer"},
-    "quadratic_roots": {"type": "array", "items": {"type": "integer"}},
-    "orbit2_size": {"type": "integer"},
-    "d2": {"type": "integer"},
-    "gcd": {"type": "integer"},
-    "contradiction": {"type": "boolean"},
-})
+def __getattr__(name: str) -> dict:
+    # Each schema is built on first access and then kept as a module global.
+    # get_type_hints over the eight record classes costs about 0.6 ms, the
+    # benchmark imports this module inside its timed calls, and no command
+    # reads a schema.
+    if name not in _DOCUMENTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    cls, kind = _DOCUMENTS[name]
+    head = {"schema_version": {"const": SCHEMA_VERSION},
+            "kind": {"const": kind}}
+    optional = {"label": {"type": "string"}} if cls is ActionReport else {}
+    globals()[name] = schema = _object(cls, head, optional)
+    return schema

@@ -6,7 +6,6 @@ to see the lines as they happen.
 """
 
 import time
-from itertools import combinations
 
 from oracles import (brute_elements, brute_is_primitive, brute_pair_orders,
                      brute_pair_stabilizer_order, brute_point_stabilizer_order)

@@ -61,6 +61,15 @@ def test_analyze_parse_error_exit_2(tmp_path, capsys):
     assert "repeated" in err
 
 
+def test_analyze_names_a_repeated_image_one_based(tmp_path, capsys):
+    path = tmp_path / "bad.gens"
+    path.write_text("degree 3\n[1, 1, 3]\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("qtperm: ParseError: line 2: "
+                   "point 1 repeated in the image list\n")
+
+
 def test_analyze_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/file.gens")
     assert code == 2
@@ -123,6 +132,22 @@ def test_construct_of_a_named_action_takes_no_input_files(name, capsys):
     code, out, err = run(capsys, "construct", name, "nonexistent.gens")
     assert (code, out) == (2, "")
     assert err == f"qtperm: construct {name} takes no input files\n"
+
+
+def test_construct_s7_pairs(capsys):
+    code, out, _ = run(capsys, "construct", "s7-pairs")
+    assert code == 0
+    assert out.startswith("degree 21\n")
+
+
+def test_construct_regular_needs_exactly_one_file(tmp_path, capsys):
+    paths = []
+    for name in ("a.gens", "b.gens"):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("degree 3\n(1 2 3)\n")
+    code, out, err = run(capsys, "construct", "regular", *map(str, paths))
+    assert (code, out) == (2, "")
+    assert err == "qtperm: construct regular needs exactly one input file\n"
 
 
 def test_construct_sum_needs_two_files(capsys):

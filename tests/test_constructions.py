@@ -91,6 +91,16 @@ def test_regular_action_respects_cap():
         regular_action(symmetric_group(8))
 
 
+def test_coset_action_refuses_a_large_index_before_enumerating(monkeypatch):
+    trivial = PermGroup([Permutation.identity(8)], 8)
+    products = count_products(monkeypatch)
+    with pytest.raises(ValueError,
+                       match=r"^coset index too large: 40320 > 10000$"):
+        coset_action(symmetric_group(8), trivial)
+    # the orders alone; each of the 40,320 cosets would cost a product
+    assert len(products) < 1000
+
+
 def test_affine_frobenius_two_transitive():
     for p in (3, 5, 7):
         act = affine_frobenius(p)

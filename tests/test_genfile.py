@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from oracles import parse_cycle_line
 from qtperm.constructions import psl2, symmetric_group
-from qtperm.genfile import (GeneratorFile, ParseError, file_from_group,
-                            format_generators, format_permutation,
-                            group_from_file, parse_generators)
+from qtperm.genfile import (ParseError, file_from_group, format_generators,
+                            format_permutation, group_from_file,
+                            parse_generators)
 from qtperm.perm import Permutation
 
 SAMPLE = """\
@@ -37,11 +37,24 @@ def test_image_list_simple():
 def test_error_missing_degree():
     with pytest.raises(ParseError, match="degree"):
         parse_generators("(1 2)\n")
+    with pytest.raises(ParseError,
+                       match=r"^line 1: missing 'degree N' declaration$"):
+        parse_generators("# only a comment\n")
 
 
 def test_error_nonpositive_degree():
     with pytest.raises(ParseError, match="positive"):
         parse_generators("degree 0\n(1 2)\n")
+    with pytest.raises(ParseError, match="positive, got -3"):
+        parse_generators("degree -3\n(1 2)\n")
+
+
+@pytest.mark.parametrize("digits", ["\u0663", "1\u0663", "\uff13"])
+def test_error_degree_of_non_ascii_digits(digits):
+    # the degree has the grammar of a point: a run of ASCII digits
+    with pytest.raises(ParseError, match="expected 'degree N'") as exc:
+        parse_generators(f"degree {digits}\n(1 2)\n")
+    assert exc.value.line == 1
 
 
 def test_error_no_generators():
@@ -68,8 +81,15 @@ def test_error_image_list_length():
 
 
 def test_error_image_list_not_bijective():
-    with pytest.raises(ParseError):
-        parse_generators("degree 3\n[1, 1, 2]\n")
+    # one walk names the first bad entry, 1-based, checking each for its
+    # range and then for a repeat
+    for entries, message in [("1, 1, 2", "point 1 repeated in the image list"),
+                             ("3, 2, 2", "point 2 repeated in the image list"),
+                             ("2, 4, 2", "point 4 outside 1..3"),
+                             ("2, 2, 4", "point 2 repeated in the image list")]:
+        with pytest.raises(ParseError) as exc:
+            parse_generators(f"degree 3\n[{entries}]\n")
+        assert str(exc.value) == f"line 2: {message}"
 
 
 @pytest.mark.parametrize("cycle", ["(,1 2)", "(1 2,)", "(1 2)(,3)",

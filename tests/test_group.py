@@ -162,6 +162,11 @@ def test_build_chain_rejects_mismatched_degree():
         build_chain([Permutation.identity(3), Permutation.identity(4)], 4)
 
 
+def test_build_chain_rejects_a_repeated_base_prefix_point():
+    with pytest.raises(ValueError, match="must be distinct"):
+        build_chain([Permutation.from_cycles(4, [(0, 1, 2, 3)])], 4, (1, 2, 1))
+
+
 def test_point_stabilizer_elements_come_from_its_own_chain():
     G = symmetric_group(5).group
     stab = G.point_stabilizer(3)

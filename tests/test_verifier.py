@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from counters import count_products
 from oracles import (brute_core_free_subgroups, brute_elements,
-                     brute_least_conjugate)
+                     brute_least_conjugate, brute_pair_classes)
 from qtperm import analysis, group, verifier
-from qtperm.analysis import (QUASI_TRANSITIVE, QuasiVerdict, analyze,
-                             quasi_verdict)
+from qtperm.analysis import (CONSTANT_ONE, NON_CONSTANT, QUASI_TRANSITIVE,
+                             QuasiVerdict, analyze, quasi_verdict)
 from qtperm.constructions import (LabeledAction, action_on_k_subsets,
-                                  alternating_group, dihedral_group,
-                                  disjoint_sum, psl2, symmetric_group)
+                                  alternating_group, cyclic_group,
+                                  dihedral_group, disjoint_sum, psl2,
+                                  symmetric_group)
 from qtperm.group import PermGroup
 from qtperm.perm import Permutation
 from qtperm.verifier import (CatalogEntry, SweepConfig, default_catalog,
@@ -62,6 +63,16 @@ def test_step4_record():
 def test_lemma_monitor_silent_off_quasi():
     assert lemma_monitor(analyze(symmetric_group(4).group)) == []
     assert lemma_monitor(analyze(psl2(3).group)) == []
+
+
+def test_lemma_monitor_reads_only_quasi_transitive_reports():
+    # two orbits of one size break a rule, but no rule applies to a report
+    # that is not quasi-transitive
+    report = analyze(disjoint_sum([cyclic_group(3), cyclic_group(3)]).group)
+    assert report.verdict.status != QUASI_TRANSITIVE
+    assert lemma_monitor(report) == []
+    forged = replace(report, verdict=QuasiVerdict(QUASI_TRANSITIVE, t=2))
+    assert "distinct-orbit-sizes" in {v.rule for v in lemma_monitor(forged)}
 
 
 def test_lemma_monitor_silent_on_transitive_quasi():
@@ -150,6 +161,28 @@ def test_table_sweep_matches_explicit_sums():
              for shape in verifier._tested_shapes(entry, config)[0])),
         key=lambda it: it.label)
     assert sweep(config).items == expected
+
+
+def test_every_default_item_matches_a_chain_free_oracle():
+    # |G_ab| = |G| / |(a, b)^G|, from the orbits of the explicit sum on
+    # ordered pairs and the entry's closed-form order, with no chain
+    config = SweepConfig()
+    checked = 0
+    for entry in default_catalog(config):
+        shapes = verifier._tested_shapes(entry, config)[0]
+        if not shapes:
+            continue
+        table = orbital_table(entry, sorted(set().union(*shapes)))
+        for shape in shapes:
+            summed = disjoint_sum([entry.actions[i] for i in shape])
+            orders = {stab for _, _, stab in brute_pair_classes(
+                summed.group.generators, summed.degree, entry.order)}
+            t = orders.pop() if len(orders) == 1 else None
+            status = (NON_CONSTANT if t is None
+                      else QUASI_TRANSITIVE if t > 1 else CONSTANT_ONE)
+            assert _status(table.verdict(shape)) == (status, t), summed.label
+            checked += 1
+    assert checked == 175
 
 
 def test_table_matches_explicit_triples():
